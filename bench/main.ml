@@ -138,7 +138,7 @@ let () =
       ("batch", fun () -> Semper_harness.Batchbench.run ());
       (* Host-dependent like wallclock, so also outside [all]. *)
       ("scale", fun () -> Semper_harness.Scale.run ());
-      (* Host-dependent: heap-vs-wheel queue-backend throughput. *)
+      (* Host-dependent: event-queue schedule/cancel/drain throughput. *)
       ("engine", fun () -> Semper_harness.Enginebench.run ());
       ("all", fun () -> Experiments.all (); bechamel ());
     ]

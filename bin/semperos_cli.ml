@@ -644,8 +644,8 @@ let bench_cmd =
           back, with per-transition safety checks. $(b,batch) runs every workload with IKC batching off \
           and on (BENCH_batch.json); both are deterministic. $(b,scale) measures throughput, \
           heap, GC, and audit cost at 1K/2K/4K PEs (BENCH_scale.json; host-dependent like \
-          wallclock). $(b,engine) measures schedule/cancel/drain throughput of the two event-queue \
-          backends, binary heap versus timer wheel, at 1K-1M pending events (BENCH_engine.json; \
+          wallclock). $(b,engine) measures schedule/cancel/drain throughput of the engine's \
+          timer-wheel event queue at 1K-1M pending events (BENCH_engine.json; \
           host-dependent).")
     Term.(const run $ mode $ smoke $ out)
 

@@ -37,7 +37,6 @@ module Engine = Semper_sim.Engine
 module Server = Semper_sim.Server
 module Checkpoint = Semper_sim.Checkpoint
 module Domain_pool = Semper_util.Domain_pool
-module Heap = Semper_util.Heap
 module Rng = Semper_util.Rng
 module Stats = Semper_util.Stats
 module Table = Semper_util.Table

@@ -3,7 +3,6 @@ module Obs = Semper_obs.Obs
 module T = Semper_util.Table
 
 type sample = {
-  s_backend : string;
   s_op : string;
   s_pending : int;
   s_wall_s : float;
@@ -16,11 +15,8 @@ let sizes_of_preset = function
   | Full -> [ 1_000; 100_000; 1_000_000 ]
   | Smoke -> [ 1_000; 10_000 ]
 
-let backends = [ ("heap", Engine.Binary_heap); ("wheel", Engine.Timer_wheel) ]
-
 (* Event times spread over an 8n-cycle window by a fixed odd stride:
-   the wheel sees traffic across several levels (not one hot slot) and
-   the heap sees unordered inserts (not the sorted-input best case),
+   the wheel sees traffic across several levels (not one hot slot),
    identically on every run. *)
 let time_of ~n i = Int64.of_int (i * 7919 mod (8 * n))
 
@@ -38,17 +34,17 @@ let fill e n =
     Engine.at e (time_of ~n i) nop
   done
 
-let measure_op queue op n =
+let measure_op op n =
   match op with
   | "schedule" ->
-    let e = Engine.create ~queue () in
+    let e = Engine.create () in
     time (fun () -> fill e n)
   | "cancel" ->
-    let e = Engine.create ~queue () in
+    let e = Engine.create () in
     let hs = Array.init n (fun i -> Engine.at_cancellable e (time_of ~n i) nop) in
     time (fun () -> Array.iter (fun h -> Engine.cancel e h) hs)
   | "drain" ->
-    let e = Engine.create ~queue () in
+    let e = Engine.create () in
     fill e n;
     time (fun () -> ignore (Engine.run e))
   | _ -> invalid_arg "Enginebench.measure_op: unknown operation"
@@ -58,26 +54,23 @@ let ops = [ "schedule"; "cancel"; "drain" ]
 let samples ?(preset = Full) () =
   List.concat_map
     (fun n ->
-      List.concat_map
+      List.map
         (fun op ->
-          List.map
-            (fun (name, queue) ->
-              let wall = measure_op queue op n in
-              {
-                s_backend = name;
-                s_op = op;
-                s_pending = n;
-                s_wall_s = wall;
-                s_ops_per_s = (if wall > 0.0 then float_of_int n /. wall else 0.0);
-              })
-            backends)
+          let wall = measure_op op n in
+          {
+            s_op = op;
+            s_pending = n;
+            s_wall_s = wall;
+            s_ops_per_s = (if wall > 0.0 then float_of_int n /. wall else 0.0);
+          })
         ops)
     (sizes_of_preset preset)
 
 let sample_json s =
   Obs.Json.Obj
     [
-      ("backend", Obs.Json.Str s.s_backend);
+      (* The schema keeps the column from when a heap backend ran too. *)
+      ("backend", Obs.Json.Str "wheel");
       ("op", Obs.Json.Str s.s_op);
       ("pending", Obs.Json.Int s.s_pending);
       ("wall_s", Obs.Json.Float s.s_wall_s);
@@ -91,30 +84,16 @@ let json samples =
       ("samples", Obs.Json.Arr (List.map sample_json samples));
     ]
 
-(* The heap sample for the same (op, size), for the speedup column. *)
-let heap_rate samples s =
-  List.find_opt
-    (fun o -> o.s_backend = "heap" && o.s_op = s.s_op && o.s_pending = s.s_pending)
-    samples
-
 let print samples =
-  T.print ~title:"Engine queue backends: schedule/cancel/drain throughput (host-dependent)"
-    ~header:[ "pending"; "op"; "backend"; "wall_s"; "ops/s"; "vs heap" ]
+  T.print ~title:"Engine event queue: schedule/cancel/drain throughput (host-dependent)"
+    ~header:[ "pending"; "op"; "wall_s"; "ops/s" ]
     (List.map
        (fun s ->
-         let speedup =
-           match heap_rate samples s with
-           | Some h when s.s_backend <> "heap" && h.s_ops_per_s > 0.0 ->
-             Printf.sprintf "%.2fx" (s.s_ops_per_s /. h.s_ops_per_s)
-           | _ -> "-"
-         in
          [
            string_of_int s.s_pending;
            s.s_op;
-           s.s_backend;
            Printf.sprintf "%.4f" s.s_wall_s;
            Printf.sprintf "%.0f" s.s_ops_per_s;
-           speedup;
          ])
        samples)
 

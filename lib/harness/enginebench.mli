@@ -1,17 +1,17 @@
-(** Engine-only microbenchmark: queue-backend throughput in isolation.
+(** Engine-only microbenchmark: event-queue throughput in isolation.
 
-    Measures host-side schedule / cancel / drain throughput of the two
-    {!Semper_sim.Engine} queue backends (binary heap and timer wheel)
-    at increasing pending-event counts, with no kernel or DTU work in
-    the way — the heap's O(log n) per operation versus the wheel's
-    O(1) is only visible once the queue is large, so the sizes sweep
-    from 1K to 1M pending events.
+    Measures host-side schedule / cancel / drain throughput of the
+    {!Semper_sim.Engine} timer wheel at increasing pending-event
+    counts, with no kernel or DTU work in the way; the sizes sweep from
+    1K to 1M pending events to show that per-operation cost does not
+    grow with the queue.
 
     Like [BENCH_wallclock.json], the output measures the {e host} and
-    is excluded from the byte-identity contract. *)
+    is excluded from the byte-identity contract. Its rows keep a
+    ["backend"] column (always ["wheel"]) from when a binary-heap
+    backend was measured beside the wheel. *)
 
 type sample = {
-  s_backend : string;  (** ["heap"] or ["wheel"] *)
   s_op : string;  (** ["schedule"], ["cancel"] or ["drain"] *)
   s_pending : int;  (** queued events the operation runs against *)
   s_wall_s : float;
@@ -22,16 +22,15 @@ type preset =
   | Full  (** 1K / 100K / 1M pending events *)
   | Smoke  (** 1K / 10K, for the [@engine-smoke] test *)
 
-(** Run the preset's measurements: for every size, each backend
-    schedules that many events, cancels that many cancellable ones,
-    and drains a full queue of them. *)
+(** Run the preset's measurements: for every size, schedule that many
+    events, cancel that many cancellable ones, and drain a full queue
+    of them. *)
 val samples : ?preset:preset -> unit -> sample list
 
 (** Deterministically ordered JSON document for a measured run. *)
 val json : sample list -> Semper_obs.Obs.Json.t
 
-(** Render the samples as a table on stdout, with the wheel-over-heap
-    speedup per (operation, size) pair. *)
+(** Render the samples as a table on stdout. *)
 val print : sample list -> unit
 
 (** [samples] + [print] + write JSON to [path]

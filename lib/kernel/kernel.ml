@@ -505,7 +505,7 @@ let restore t s =
      queue are validated too: they only ever grow during traffic, so a
      control plane that handled syscalls since the snapshot is caught
      here even when its event queue drained back to the snapshot's
-     shape — which the timer wheel's eager cancellation makes routine. *)
+     shape. *)
   if
     sorted_keys t.pending_ops <> s.s_pending_ops
     || sorted_keys t.retry_msgs <> s.s_retry_ops

@@ -24,9 +24,6 @@ type config = {
   trace_capacity : int;
       (** size of the shared protocol trace ring (events kept); 0, the
           default, turns tracing off *)
-  engine_queue : Semper_sim.Engine.queue_kind;
-      (** event-queue backend: [Timer_wheel] (default) or the
-          [Binary_heap] differential-testing oracle *)
 }
 
 val default_config : config
@@ -43,7 +40,6 @@ val config :
   ?fault:Semper_fault.Fault.profile ->
   ?retry:bool ->
   ?trace_capacity:int ->
-  ?engine_queue:Semper_sim.Engine.queue_kind ->
   unit ->
   config
 

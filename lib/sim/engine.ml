@@ -1,90 +1,78 @@
 module Obs = Semper_obs.Obs
-module Heap = Semper_util.Heap
-module Wheel = Semper_util.Wheel
 
-(* Two interchangeable queue backends with identical (time, seq)
-   delivery order:
+(* One record per event is at once the queued item, its cell in a
+   hierarchical timer wheel and, for cancellable events, the [handle].
 
-   - [Timer_wheel] (the default): a hierarchical timer wheel with O(1)
-     schedule, O(1) eager cancel (the handle unlinks its intrusive
-     cell directly) and amortized O(1) expiry. Cancelled events leave
-     the queue immediately, so [events_skipped] stays 0 and [pending]
-     equals the live queue length; only their times linger, in a
-     shadow queue that keeps the clock advancing exactly as under the
-     heap's lazy deletion (see [wheel_step]).
+   The wheel: level l has 32 slots of 32^l ticks, 13 levels cover the
+   63-bit [int] range. An event for time T under cursor C lives at the
+   lowest level whose slot span holds both (the smallest l with
+   T lsr 5(l+1) = C lsr 5(l+1)), in slot (T lsr 5l) land 31. Each slot
+   is a singly-linked FIFO list with head and tail arrays; a level-0
+   slot holds events of one time only, so FIFO order is scheduling
+   order and no per-event sequence number is needed. Per-level 32-bit
+   occupancy bitmaps find the next occupied slot with a mask and a
+   count-trailing-zeros. Crossing into a higher-level slot's span
+   cascades its list front to back into lower slots that are empty at
+   that moment, which keeps the order.
 
-   - [Binary_heap]: the original O(log n) heap with lazy deletion —
-     [cancel] flips the handle state and the event is discarded when
-     it surfaces at the top of the heap (or earlier, by Floyd
-     compaction once dead slots outnumber live ones). Kept as the
-     differential-testing oracle; see test_engine_model. *)
-type queue_kind = Binary_heap | Timer_wheel
+   Cancel is lazy, as in the binary heap the engine once used: it marks
+   the event a tombstone, [run] drops the tombstone when it comes due,
+   and the queue compacts under the heap's rule (at least 64 queued,
+   more than half dead). The queue therefore holds exactly what that
+   heap held, and the drained clock — which only catches up to the
+   scheduling horizon once the queue, tombstones included, is empty —
+   is the heap's by construction. *)
 
-type handle_state = H_pending | H_fired | H_cancelled
+type state = Pending | Fired | Cancelled
 
-(* [owner] ties a pending handle to the engine instance that issued it,
-   so that [cancel] can reject handles from another engine (or from a
-   pre-restore life of this engine) instead of silently corrupting the
-   dead-event accounting. Engines get their id from a process-wide
-   counter; [rebind] re-stamps a restored engine and its queued
-   handles with a fresh id. [wcell] is the event's wheel cell in
-   wheel mode ([Wnone] in heap mode), giving [cancel] its O(1)
-   unlink; it travels inside checkpoint images by marshalled sharing,
-   so a restored handle still points into the restored wheel. *)
-type handle = {
-  mutable state : handle_state;
+(* [owner] ties a pending event to the engine instance that scheduled it,
+   so [cancel] can reject a handle from another engine (or from a
+   pre-restore life of this one). *)
+type event = {
+  time : int;
+  mutable run : unit -> unit;
+  mutable next : event;
+  mutable state : state;
   mutable owner : int;
-  mutable wcell : wref;
 }
 
-and wref = Wnone | Wcell of event Wheel.cell
+type handle = event
 
-and event = {
-  time : int64;
-  seq : int;
-  run : unit -> unit;
-  (* [None] for the plain [at]/[after] events, which avoids allocating
-     a handle on the fast path carrying almost all simulation traffic. *)
-  cell : handle option;
-}
-
-(* Wheel mode pairs the wheel with a min-heap of the *times* of
-   cancelled events. The cells unlink eagerly, but the heap backend
-   holds dead events until they surface (or compaction), and that
-   residue gates the post-drain horizon catch-up of the clock; the
-   shadow queue lets wheel mode advance the clock bit-identically
-   (see [wheel_step]). *)
-type queue = Qheap of event Heap.t | Qwheel of event Wheel.t * int64 Heap.t
+let bits = 5
+let slot_mask = (1 lsl bits) - 1
+let levels = 13
 
 type t = {
   mutable uid : int;
-  mutable clock : int64;
-  mutable next_seq : int;
+  mutable clock : int;
+  (* Events ever scheduled: the checkpoint guard in [restore]. *)
+  mutable scheduled : int;
   mutable processed : int;
-  (* Cancelled events the queue is still accounting for. Heap mode:
-     dead events physically in the heap (lazy deletion). Wheel mode:
-     entries in the shadow dead-times queue — the cells themselves
-     unlink eagerly, but the count and times are mirrored so the
-     clock advances exactly as under the heap. *)
+  (* Queued events, tombstones included, and the tombstones alone. *)
+  mutable len : int;
   mutable dead : int;
-  (* Latest time ever scheduled, dead or alive. When the queue drains,
-     the clock advances here: in the pre-cancellation engine the
-     last-popped event was exactly the latest-scheduled one (cancelled
-     timers fired as no-ops), so this keeps post-drain clocks — and
-     therefore every simulated-cycle measurement — byte-identical. *)
-  mutable horizon : int64;
+  (* Latest time ever scheduled, cancelled or not. A drained queue
+     advances the clock here, where the seed engine's last no-op pop
+     left it, so post-drain clocks stay byte-identical. *)
+  mutable horizon : int;
   mutable cancelled : int;
-  mutable skipped : int;
-  (* Heap mode: largest raw heap length (live + dead). Wheel mode:
-     largest live occupancy — dead slots don't exist there. *)
+  (* Largest live occupancy; tombstones are not counted. *)
   mutable heap_peak : int;
   (* High-water marks already pushed into [Totals]. *)
   mutable flushed_processed : int;
   mutable flushed_cancelled : int;
-  mutable flushed_skipped : int;
-  queue : queue;
+  (* The wheel cursor: behind every queued time, and at or behind the
+     clock whenever a caller can schedule. *)
+  mutable cur : int;
+  (* Slot lists, indexed [level * 32 + slot], and per-level occupancy
+     bitmaps. *)
+  head : event array;
+  tail : event array;
+  occ : int array;
+  (* List terminator. Engine-owned, so it travels inside checkpoint
+     images and stays physically equal to the one the lists end in. *)
+  nil : event;
   ctr_cancelled : Obs.Registry.counter option;
-  ctr_skipped : Obs.Registry.counter option;
 }
 
 (* Process-wide totals across every engine, for wall-clock benchmarking
@@ -95,12 +83,11 @@ type t = {
 module Totals = struct
   let processed_a = Atomic.make 0
   let cancelled_a = Atomic.make 0
-  let skipped_a = Atomic.make 0
   let heap_peak_a = Atomic.make 0
 
   let processed () = Atomic.get processed_a
   let cancelled () = Atomic.get cancelled_a
-  let skipped () = Atomic.get skipped_a
+  let skipped () = 0
   let heap_peak () = Atomic.get heap_peak_a
   let reset_heap_peak () = Atomic.set heap_peak_a 0
 
@@ -111,41 +98,35 @@ module Totals = struct
     if n > cur && not (Atomic.compare_and_set a cur n) then max_to a n
 end
 
-let compare_event a b =
-  let c = Int64.compare a.time b.time in
-  if c <> 0 then c else Int.compare a.seq b.seq
-
-let dummy_event = { time = 0L; seq = -1; run = (fun () -> ()); cell = None }
-
 (* Engine instance ids. Atomic because sweeps create engines on many
    domains at once; the ids only need to be distinct, not dense. *)
 let next_uid = Atomic.make 0
 
-let create ?obs ?(queue = Timer_wheel) () =
+let create ?obs () =
+  let rec nil = { time = -1; run = ignore; next = nil; state = Fired; owner = -1 } in
   let ctr name = Option.map (fun r -> Obs.Registry.counter r ("engine." ^ name)) obs in
+  let ctr_cancelled = ctr "events_cancelled" in
+  (* Nothing is ever skipped; the counter stays for the reports. *)
+  ignore (ctr "events_skipped");
   let t =
     {
       uid = Atomic.fetch_and_add next_uid 1;
-      clock = 0L;
-      next_seq = 0;
+      clock = 0;
+      scheduled = 0;
       processed = 0;
+      len = 0;
       dead = 0;
-      horizon = 0L;
+      horizon = 0;
       cancelled = 0;
-      skipped = 0;
       heap_peak = 0;
       flushed_processed = 0;
       flushed_cancelled = 0;
-      flushed_skipped = 0;
-      queue =
-        (match queue with
-        | Binary_heap -> Qheap (Heap.create ~dummy:dummy_event ~compare:compare_event)
-        | Timer_wheel ->
-          Qwheel
-            ( Wheel.create ~dummy:dummy_event (),
-              Heap.create ~dummy:0L ~compare:Int64.compare ));
-      ctr_cancelled = ctr "events_cancelled";
-      ctr_skipped = ctr "events_skipped";
+      cur = 0;
+      head = Array.make (levels lsl bits) nil;
+      tail = Array.make (levels lsl bits) nil;
+      occ = Array.make levels 0;
+      nil;
+      ctr_cancelled;
     }
   in
   Option.iter
@@ -153,245 +134,200 @@ let create ?obs ?(queue = Timer_wheel) () =
     obs;
   t
 
-let queue_kind t = match t.queue with Qheap _ -> Binary_heap | Qwheel _ -> Timer_wheel
-let now t = t.clock
+let now t = Int64.of_int t.clock
 
-let queue_length t =
-  match t.queue with Qheap h -> Heap.length h | Qwheel (w, _) -> Wheel.length w
+(* Count trailing zeros of a non-zero value below 2^32. *)
+let ctz32 x =
+  let n = ref 0 and x = ref x in
+  if !x land 0xffff = 0 then (n := !n + 16; x := !x lsr 16);
+  if !x land 0xff = 0 then (n := !n + 8; x := !x lsr 8);
+  if !x land 0xf = 0 then (n := !n + 4; x := !x lsr 4);
+  if !x land 0x3 = 0 then (n := !n + 2; x := !x lsr 2);
+  if !x land 0x1 = 0 then n := !n + 1;
+  !n
 
-(* Queue length as the heap backend would report it: live plus dead.
-   This is the figure the snapshot records, so the two backends agree
-   on what a quiescent engine is. *)
-let raw_length t =
-  match t.queue with
-  | Qheap h -> Heap.length h
-  | Qwheel (w, d) -> Wheel.length w + Heap.length d
+(* Append [ev] (whose [next] is [nil]) to its slot under the cursor. *)
+let link t ev =
+  let x = ref (ev.time lxor t.cur) and level = ref 0 in
+  while !x > slot_mask do
+    x := !x lsr bits;
+    incr level
+  done;
+  let level = !level in
+  let slot = (ev.time lsr (bits * level)) land slot_mask in
+  let i = (level lsl bits) lor slot in
+  let last = t.tail.(i) in
+  if last == t.nil then begin
+    t.head.(i) <- ev;
+    t.occ.(level) <- t.occ.(level) lor (1 lsl slot)
+  end
+  else last.next <- ev;
+  t.tail.(i) <- ev
 
-(* Simulated cycles are int64 for interface stability, but the wheel
-   indexes by native int: on 64-bit hosts that caps the clock at 2^62
-   cycles ≈ 73 years of simulated 2 GHz time, far past any run. *)
-let wheel_time time =
-  if Int64.compare time (Int64.of_int max_int) > 0 then
-    invalid_arg "Engine.at: time exceeds the timer-wheel range"
-  else Int64.to_int time
+(* Detach the list of slot [i] and link each event [keep] accepts back
+   in, in order, wherever the cursor now puts it. A cascade (the cursor
+   has just entered the slot's span) moves every event strictly lower,
+   into slots that are empty at that moment; a compaction (the cursor
+   has not) puts each survivor back in the slot it came from. Either
+   way each slot stays in scheduling order. *)
+let relink t i keep =
+  let ev = ref t.head.(i) in
+  t.head.(i) <- t.nil;
+  t.tail.(i) <- t.nil;
+  t.occ.(i lsr bits) <- t.occ.(i lsr bits) land lnot (1 lsl (i land slot_mask));
+  while !ev != t.nil do
+    let e = !ev in
+    ev := e.next;
+    if keep e then begin
+      e.next <- t.nil;
+      link t e
+    end
+  done
 
-let schedule t time run cell =
-  if Int64.compare time t.clock < 0 then invalid_arg "Engine.at: time in the past";
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  if Int64.compare time t.horizon > 0 then t.horizon <- time;
-  let ev = { time; seq; run; cell } in
-  (match t.queue with
-  | Qheap h -> Heap.push h ev
-  | Qwheel (w, _) ->
-    let c = Wheel.add w ~time:(wheel_time time) ev in
-    (match cell with Some hd -> hd.wcell <- Wcell c | None -> ()));
-  let len = queue_length t in
-  if len > t.heap_peak then t.heap_peak <- len
+(* Unlink and return the earliest queued event with time <= [limit],
+   tombstone or not, or [nil]. The cursor never moves past [limit], so
+   it stays at or behind the clock the caller settles on. *)
+let rec pop t limit =
+  if t.len = 0 then t.nil
+  else begin
+    let level = ref 0 and m = ref 0 in
+    while
+      m := t.occ.(!level) land ((-1) lsl ((t.cur lsr (bits * !level)) land slot_mask));
+      !m = 0
+    do
+      incr level
+    done;
+    let level = !level in
+    let slot = ctz32 !m in
+    let i = (level lsl bits) lor slot in
+    let first = t.head.(i) in
+    if level = 0 then
+      if first.time > limit then t.nil
+      else begin
+        let next = first.next in
+        t.head.(i) <- next;
+        if next == t.nil then begin
+          t.tail.(i) <- t.nil;
+          t.occ.(0) <- t.occ.(0) land lnot (1 lsl slot)
+        end;
+        t.len <- t.len - 1;
+        t.cur <- first.time;
+        first
+      end
+    else begin
+      let span = bits * level in
+      let aligned = (first.time lsr span) lsl span in
+      let start = if aligned > t.cur then aligned else t.cur in
+      if start > limit then t.nil
+      else begin
+        t.cur <- start;
+        relink t i (fun _ -> true);
+        pop t limit
+      end
+    end
+  end
 
-let at t time run = schedule t time run None
+let max_time = Int64.of_int max_int
 
-let after t delay run =
-  if Int64.compare delay 0L < 0 then invalid_arg "Engine.after: negative delay";
-  at t (Int64.add t.clock delay) run
+(* Queue an event at a validated native-int [time]. *)
+let push t time run =
+  let ev = { time; run; next = t.nil; state = Pending; owner = t.uid } in
+  link t ev;
+  t.len <- t.len + 1;
+  t.scheduled <- t.scheduled + 1;
+  if time > t.horizon then t.horizon <- time;
+  if t.len - t.dead > t.heap_peak then t.heap_peak <- t.len - t.dead;
+  ev
 
 let at_cancellable t time run =
-  let h = { state = H_pending; owner = t.uid; wcell = Wnone } in
-  schedule t time run (Some h);
-  h
+  if Int64.compare time (Int64.of_int t.clock) < 0 then invalid_arg "Engine.at: time in the past";
+  if Int64.compare time max_time > 0 then
+    invalid_arg "Engine.at: time exceeds the timer-wheel range";
+  push t (Int64.to_int time) run
 
 let after_cancellable t delay run =
   if Int64.compare delay 0L < 0 then invalid_arg "Engine.after: negative delay";
-  at_cancellable t (Int64.add t.clock delay) run
+  if Int64.compare delay (Int64.of_int (max_int - t.clock)) > 0 then
+    invalid_arg "Engine.at: time exceeds the timer-wheel range";
+  push t (t.clock + Int64.to_int delay) run
 
-let is_dead ev = match ev.cell with Some h -> h.state = H_cancelled | None -> false
+let at t time run = ignore (at_cancellable t time run)
+let after t delay run = ignore (after_cancellable t delay run)
 
-(* Heap mode only: purge cancelled events once they outnumber the live
-   ones, so the heap tracks in-flight work rather than everything ever
-   scheduled. The 50% threshold makes compaction O(1) amortised per
-   cancellation; the size floor avoids churn on tiny queues. *)
-let maybe_compact t h =
-  let len = Heap.length h in
-  if len >= 64 && 2 * t.dead > len then begin
-    Heap.filter_in_place (fun ev -> not (is_dead ev)) h;
-    t.dead <- 0
-  end
+(* Drop every tombstone. *)
+let compact t =
+  Array.iteri
+    (fun i first -> if first != t.nil then relink t i (fun e -> e.state <> Cancelled))
+    t.head;
+  t.len <- t.len - t.dead;
+  t.dead <- 0
 
-let cancel t h =
-  match h.state with
-  | H_fired | H_cancelled -> ()
-  | H_pending ->
-    if h.owner <> t.uid then
+let cancel t ev =
+  match ev.state with
+  | Fired | Cancelled -> ()
+  | Pending ->
+    if ev.owner <> t.uid then
       invalid_arg "Engine.cancel: handle belongs to a different engine (or a stale restore)";
-    h.state <- H_cancelled;
+    ev.state <- Cancelled;
+    (* A tombstone can stay queued long after: let go of its closure. *)
+    ev.run <- ignore;
     t.cancelled <- t.cancelled + 1;
     Option.iter Obs.Registry.incr t.ctr_cancelled;
-    (match t.queue with
-    | Qheap hp ->
-      t.dead <- t.dead + 1;
-      maybe_compact t hp
-    | Qwheel (w, d) ->
-      (match h.wcell with
-      | Wcell c ->
-        let tm = Int64.of_int (Wheel.time c) in
-        ignore (Wheel.remove w c);
-        h.wcell <- Wnone;
-        (* Shadow the heap's lazy deletion: record the dead event's
-           time so bounded runs hold the clock back exactly as the
-           heap does (see [wheel_step]), and clear the shadow on the
-           same threshold as [maybe_compact] — the raw length here
-           equals the heap's [Heap.length] because the heap would
-           still be holding both the live events and the dead ones. *)
-        Heap.push d tm;
-        t.dead <- t.dead + 1;
-        let raw = Wheel.length w + t.dead in
-        if raw >= 64 && 2 * t.dead > raw then begin
-          Heap.clear d;
-          t.dead <- 0
-        end
-      | Wnone ->
-        (* A pending wheel-mode handle always carries its cell;
-           reaching here means the handle was forged or crossed
-           engines past the owner check. *)
-        invalid_arg "Engine.cancel: pending handle has no queue cell"))
-
-(* One step of the heap-mode run loop: returns [true] while events may
-   remain to process within [until]. *)
-let heap_step t h until =
-  match Heap.peek h with
-  | None ->
-    (* Queue drained: catch the clock up to the latest-scheduled
-       event (see [horizon]) and then to the requested bound, so that
-       back-to-back bounded runs observe a monotone [now]. *)
-    if Int64.compare t.horizon t.clock > 0 then t.clock <- t.horizon;
-    (match until with
-    | Some limit when Int64.compare limit t.clock > 0 -> t.clock <- limit
-    | _ -> ());
-    None
-  | Some ev ->
-    (match until with
-    | Some limit when Int64.compare ev.time limit > 0 ->
-      (* Leave future events queued but advance the clock to the limit
-         so that repeated bounded runs make progress. The clock never
-         moves backwards, even for a limit in the past. *)
-      if Int64.compare limit t.clock > 0 then t.clock <- limit;
-      None
-    | Some _ | None ->
-      let ev = Heap.pop h in
-      if is_dead ev then begin
-        t.dead <- t.dead - 1;
-        t.skipped <- t.skipped + 1;
-        Option.iter Obs.Registry.incr t.ctr_skipped;
-        Some None
-      end
-      else Some (Some ev))
-
-(* Wheel-mode step. The wheel has no dead slots to skip, so a popped
-   cell is always live; [pop ~limit] refuses to advance its cursor
-   past the limit, keeping the cursor <= clock invariant that lets a
-   later [schedule] at the current clock land in front of it.
-
-   The clock contract is the heap's: the clock only catches up to
-   [horizon] once the raw queue — dead events included — has drained.
-   The heap discards a dead event only when it surfaces within the
-   run's limit, so a cancelled timer beyond the limit still holds the
-   clock back; [dead_times] replays that behaviour from the shadow
-   record of cancelled times. *)
-let wheel_step t w dead_times until =
-  let limit =
-    match until with
-    | Some limit when Int64.compare limit (Int64.of_int max_int) < 0 ->
-      Int64.to_int limit
-    | Some _ | None -> max_int
-  in
-  match Wheel.pop w ~limit with
-  | Some c -> Some (Some (Wheel.value c))
-  | None ->
-    (* No live event within the limit: the heap would now surface and
-       discard every dead event up to the limit before deciding
-       whether the queue has drained. *)
-    let within tm =
-      match until with Some l -> Int64.compare tm l <= 0 | None -> true
-    in
-    let rec drop () =
-      match Heap.peek dead_times with
-      | Some tm when within tm ->
-        ignore (Heap.pop dead_times);
-        t.dead <- t.dead - 1;
-        drop ()
-      | Some _ | None -> ()
-    in
-    drop ();
-    if Wheel.length w = 0 && Heap.length dead_times = 0 then begin
-      if Int64.compare t.horizon t.clock > 0 then t.clock <- t.horizon;
-      match until with
-      | Some limit when Int64.compare limit t.clock > 0 ->
-        t.clock <- limit;
-        None
-      | _ -> None
-    end
-    else begin
-      (match until with
-      | Some limit when Int64.compare limit t.clock > 0 -> t.clock <- limit
-      | _ -> ());
-      None
-    end
+    t.dead <- t.dead + 1;
+    (* The heap's rule: compaction is O(1) amortised per cancel, and
+       the size floor avoids churn on tiny queues. *)
+    if t.len >= 64 && 2 * t.dead > t.len then compact t
 
 let run ?until t =
+  let limit =
+    match until with
+    | Some l when Int64.compare l max_time < 0 -> Int64.to_int l
+    | Some _ | None -> max_int
+  in
   let count = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let step =
-      match t.queue with
-      | Qheap h -> heap_step t h until
-      | Qwheel (w, d) -> wheel_step t w d until
-    in
-    match step with
-    | None -> continue := false
-    | Some None -> () (* dead event skipped; keep going *)
-    | Some (Some ev) ->
-      (match ev.cell with
-      | Some h ->
-        h.state <- H_fired;
-        h.wcell <- Wnone
-      | None -> ());
-      t.clock <- ev.time;
+  let ev = ref (pop t limit) in
+  while !ev != t.nil do
+    let e = !ev in
+    (match e.state with
+    | Cancelled -> t.dead <- t.dead - 1
+    | Pending | Fired ->
+      e.state <- Fired;
+      t.clock <- e.time;
       t.processed <- t.processed + 1;
       incr count;
-      ev.run ()
+      e.run ());
+    ev := pop t limit
   done;
+  (* Nothing left within the bound: a drained queue catches the clock up
+     to the horizon, and a bounded run then advances it to the bound, so
+     back-to-back bounded runs see a monotone [now]. *)
+  if t.len = 0 && t.horizon > t.clock then t.clock <- t.horizon;
+  if Option.is_some until && limit > t.clock then t.clock <- limit;
   Totals.add Totals.processed_a (t.processed - t.flushed_processed);
   Totals.add Totals.cancelled_a (t.cancelled - t.flushed_cancelled);
-  Totals.add Totals.skipped_a (t.skipped - t.flushed_skipped);
   t.flushed_processed <- t.processed;
   t.flushed_cancelled <- t.cancelled;
-  t.flushed_skipped <- t.skipped;
   Totals.max_to Totals.heap_peak_a t.heap_peak;
   !count
 
 let events_processed t = t.processed
 let events_cancelled t = t.cancelled
-let events_skipped t = t.skipped
+let events_skipped _ = 0
 let heap_peak t = t.heap_peak
-let pending t =
-  match t.queue with
-  | Qheap h -> Heap.length h - t.dead
-  | Qwheel (w, _) -> Wheel.length w
+let pending t = t.len - t.dead
 
 let rebind t =
   t.uid <- Atomic.fetch_and_add next_uid 1;
-  (* Every still-pending handle sits in the queue (a pending event is by
-     definition scheduled), so walking the queue re-stamps them all.
-     Fired and cancelled cells are left alone: [cancel] no-ops on them
+  (* Fired and cancelled events are left alone: [cancel] no-ops on them
      before it ever looks at the owner. *)
-  let restamp ev =
-    match ev.cell with
-    | Some h when h.state = H_pending -> h.owner <- t.uid
-    | Some _ | None -> ()
-  in
-  match t.queue with
-  | Qheap h -> Heap.fold (fun () ev -> restamp ev) () h
-  | Qwheel (w, _) -> Wheel.iter (fun c -> restamp (Wheel.value c)) w
+  Array.iter
+    (fun first ->
+      let ev = ref first in
+      while !ev != t.nil do
+        if !ev.state = Pending then !ev.owner <- t.uid;
+        ev := !ev.next
+      done)
+    t.head
 
 type snapshot = {
   s_clock : int64;
@@ -407,37 +343,37 @@ type snapshot = {
 
 let snapshot t =
   {
-    s_clock = t.clock;
-    s_next_seq = t.next_seq;
+    s_clock = Int64.of_int t.clock;
+    s_next_seq = t.scheduled;
     s_processed = t.processed;
     s_dead = t.dead;
-    s_horizon = t.horizon;
+    s_horizon = Int64.of_int t.horizon;
     s_cancelled = t.cancelled;
-    s_skipped = t.skipped;
+    s_skipped = 0;
     s_heap_peak = t.heap_peak;
-    s_queued = raw_length t;
+    s_queued = t.len;
   }
 
 let restore t s =
-  if raw_length t <> s.s_queued then
+  if t.len <> s.s_queued then
     invalid_arg "Engine.restore: queue length does not match the snapshot";
   (* A non-empty queue carries closures the snapshot cannot describe,
-     so it must be byte-for-byte the snapshot's queue already (whole-
-     image checkpoint first); equal length is the cheap check and the
-     sequence counter catches control planes that merely drained back
-     to the same length — possible under the wheel, whose cancels
-     vanish eagerly. An empty queue is different: [s_queued = 0] fully
-     describes it, so rewinding a quiescent engine to a quiescent
-     snapshot is complete and allowed even though [next_seq] moved. *)
-  if s.s_queued > 0 && t.next_seq <> s.s_next_seq then
+     so it must be the snapshot's queue already (whole-image checkpoint
+     first); equal length is the cheap check and the scheduling count
+     catches control planes that merely drained back to the same
+     length. An empty queue is fully described by [s_queued = 0], so
+     rewinding a quiescent engine to a quiescent snapshot is allowed. *)
+  if s.s_queued > 0 && t.scheduled <> s.s_next_seq then
     invalid_arg "Engine.restore: engine scheduled events since the snapshot";
-  t.clock <- s.s_clock;
-  t.next_seq <- s.s_next_seq;
+  t.clock <- Int64.to_int s.s_clock;
+  (* An empty wheel may take any cursor; a rewound clock needs one at or
+     behind it. *)
+  if t.len = 0 then t.cur <- t.clock;
+  t.scheduled <- s.s_next_seq;
   t.processed <- s.s_processed;
   t.dead <- s.s_dead;
-  t.horizon <- s.s_horizon;
+  t.horizon <- Int64.to_int s.s_horizon;
   t.cancelled <- s.s_cancelled;
-  t.skipped <- s.s_skipped;
   t.heap_peak <- s.s_heap_peak;
   (* Rewinding to an earlier snapshot must also rewind the flushed
      high-water marks: the events between the snapshot and now will
@@ -445,5 +381,4 @@ let restore t s =
      their pre-restore values the next flush delta goes negative and
      [Totals.add] silently drops everything up to the old mark. *)
   t.flushed_processed <- min t.flushed_processed s.s_processed;
-  t.flushed_cancelled <- min t.flushed_cancelled s.s_cancelled;
-  t.flushed_skipped <- min t.flushed_skipped s.s_skipped
+  t.flushed_cancelled <- min t.flushed_cancelled s.s_cancelled

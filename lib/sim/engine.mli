@@ -2,37 +2,38 @@
 
     Time is measured in cycles (an [int64], matching the paper's 2 GHz
     clock). Events scheduled for the same cycle run in scheduling order,
-    so a run is fully deterministic — the delivery order is exactly
-    [(time, seq)] under either queue backend.
+    so a run is fully deterministic.
 
-    {2 Queue backends}
+    {2 The event queue}
 
-    The default backend is a hierarchical timer wheel
-    ({!Semper_util.Wheel}): O(1) schedule, O(1) cancel (the event's
-    intrusive cell is unlinked eagerly) and amortized O(1) expiry, so
-    engine cost no longer grows with the number of pending events. The
-    original binary heap stays available as [Binary_heap] — it is the
-    differential-testing oracle (see [test_engine_model]) and keeps
-    the lazy-deletion semantics documented below.
+    A hierarchical timer wheel: 13 levels of 32 slots, level [l] slots
+    spanning [32{^l}] cycles, each slot a FIFO list. Schedule and cancel
+    are O(1) and expiry is amortized O(1), so engine cost does not grow
+    with the number of pending events. Each event is a single record
+    that is at once the queued item, its list cell and, for cancellable
+    events, the {!handle}. Times are native [int]s inside the engine,
+    which caps them at [max_int] = 2{^62} - 1 cycles (about 73 years of
+    simulated 2 GHz time); {!at} raises beyond that.
 
     {2 Cancellable timers}
 
     Protocol timeouts are almost always cancelled (a retransmission
     timer dies the moment the ack arrives), so [at_cancellable] /
-    [after_cancellable] return a {!handle} that [cancel] retires. In
-    wheel mode the cancelled event leaves the queue immediately; in
-    heap mode it is retired lazily: the slot is marked dead, [run]
-    discards it when it surfaces instead of executing it, and the
-    queue compacts once dead slots outnumber live ones. Either way,
-    scheduling order, sequence numbering, and the clock are exactly as
-    if the cancelled event had fired as a no-op, so cancellation is
-    invisible to simulated time — it only shrinks the queue and the
-    events actually executed. *)
+    [after_cancellable] return a {!handle} that [cancel] retires.
+    Cancellation is lazy: the event stays queued as a tombstone, [run]
+    drops it unexecuted when it comes due, and the queue compacts once
+    at least 64 events are queued and more than half are tombstones.
+    This is exactly the lazy deletion of the binary heap the engine
+    once used (kept in the test suite as the oracle of
+    [test_engine_model]), so the queue holds what that heap held. In
+    particular the clock is as if every cancelled event had fired as a
+    no-op: a drained queue catches the clock up to the latest time
+    ever scheduled, and a tombstone beyond a bounded run's limit holds
+    the clock at the limit as a live event would. Cancellation is
+    therefore invisible to simulated time — it only shrinks the events
+    actually executed. *)
 
 type t
-
-(** Queue backend selector; see the module docs. *)
-type queue_kind = Binary_heap | Timer_wheel
 
 (** A cancellable event. Handles are single-engine: each handle is
     stamped with the issuing engine's instance id, and [cancel] raises
@@ -43,24 +44,22 @@ type queue_kind = Binary_heap | Timer_wheel
     any handle from the pre-restore life is permanently foreign to it. *)
 type handle
 
-(** Fresh engine at cycle 0 using the given [queue] backend (default
-    [Timer_wheel]). When [obs] is given, the engine registers
+(** Fresh engine at cycle 0. When [obs] is given, the engine registers
     [engine.events_cancelled] and [engine.events_skipped] counters and
     an [engine.heap_peak] gauge there. *)
-val create : ?obs:Semper_obs.Obs.Registry.t -> ?queue:queue_kind -> unit -> t
-
-(** The backend this engine was created with. *)
-val queue_kind : t -> queue_kind
+val create : ?obs:Semper_obs.Obs.Registry.t -> unit -> t
 
 (** Current simulation time in cycles. *)
 val now : t -> int64
 
 (** [at t time f] schedules [f] to run at absolute cycle [time].
-    Raises [Invalid_argument] if [time] is in the past. *)
+    Raises [Invalid_argument] if [time] is in the past or beyond
+    [max_int] (2{^62} - 1) cycles. *)
 val at : t -> int64 -> (unit -> unit) -> unit
 
 (** [after t delay f] schedules [f] to run [delay] cycles from now.
-    Raises [Invalid_argument] on a negative delay. *)
+    Raises [Invalid_argument] on a negative delay, or one that takes
+    the time beyond [max_int] cycles. *)
 val after : t -> int64 -> (unit -> unit) -> unit
 
 (** As [at], returning a handle that {!cancel} accepts. *)
@@ -84,7 +83,7 @@ val rebind : t -> unit
 
 (** Run until the event queue is empty, or until the optional [until]
     cycle (events strictly after it stay queued). Returns the number of
-    events executed by this call (cancelled events are discarded, not
+    events executed by this call (cancelled events are dropped, not
     executed, and not counted). *)
 val run : ?until:int64 -> t -> int
 
@@ -94,14 +93,13 @@ val events_processed : t -> int
 (** Events retired via {!cancel} before firing. *)
 val events_cancelled : t -> int
 
-(** Heap mode: cancelled events discarded at the top of the queue by
-    {!run} (the rest are removed wholesale by compaction). Always 0 in
-    wheel mode — the wheel unlinks cancelled events eagerly. *)
+(** Always 0: cancelled events are dropped without being counted. The
+    [engine.events_skipped] counter reads 0 for the same reason; both
+    stay for the reports that print them. *)
 val events_skipped : t -> int
 
-(** Largest queue occupancy observed — the simulator's memory
-    high-water mark. In heap mode this counts not-yet-collected
-    cancelled slots; in wheel mode every counted event is live. *)
+(** Largest number of live (not cancelled) events ever queued at once —
+    the simulator's memory high-water mark. *)
 val heap_peak : t -> int
 
 (** Live (non-cancelled) events currently queued. *)
@@ -114,16 +112,14 @@ val pending : t -> int
     and to re-synchronise counters after such a restore. *)
 type snapshot = {
   s_clock : int64;
-  s_next_seq : int;
+  s_next_seq : int;  (** events scheduled since creation *)
   s_processed : int;
-  s_dead : int;
-      (** cancelled events the queue still accounts for (in wheel mode
-          only their times remain, in the shadow dead-times queue) *)
+  s_dead : int;  (** cancelled events still queued as tombstones *)
   s_horizon : int64;
   s_cancelled : int;
-  s_skipped : int;
+  s_skipped : int;  (** always 0, see {!events_skipped} *)
   s_heap_peak : int;
-  s_queued : int;  (** queued events including dead (cancelled) slots *)
+  s_queued : int;  (** queued events including tombstones *)
 }
 
 val snapshot : t -> snapshot
@@ -132,14 +128,14 @@ val snapshot : t -> snapshot
     untouched, so when the snapshot has queued events the engine's
     current queue must already match it — [s_queued] is checked, and
     [s_next_seq] too, which catches control planes that moved on and
-    drained back to the snapshot's queue length (possible under the
-    wheel, whose cancels vanish eagerly); raises [Invalid_argument]
-    otherwise. The intended caller restores the event queue via a
-    whole-image checkpoint first. A {e quiescent} rewind — both the
-    snapshot and the engine with empty queues — is always allowed:
-    an empty queue carries no closures, so the restore is complete. Also rewinds the {!Totals} flush
-    marks so work replayed after the restore is counted again rather
-    than vanishing into a negative flush delta. *)
+    came back to the snapshot's queue length; raises
+    [Invalid_argument] otherwise. The intended caller restores the
+    event queue via a whole-image checkpoint first. A {e quiescent}
+    rewind — both the snapshot and the engine with empty queues — is
+    always allowed: an empty queue carries no closures, so the restore
+    is complete. Also rewinds the {!Totals} flush marks so work
+    replayed after the restore is counted again rather than vanishing
+    into a negative flush delta. *)
 val restore : t -> snapshot -> unit
 
 (** Process-wide totals over every engine ever created, including those
@@ -148,6 +144,8 @@ val restore : t -> snapshot -> unit
 module Totals : sig
   val processed : unit -> int
   val cancelled : unit -> int
+
+  (** Always 0, see {!events_skipped}. *)
   val skipped : unit -> int
 
   (** Maximum {!heap_peak} over all engines so far. *)

@@ -1,7 +1,7 @@
-(* Smoke gate for the engine queue-backend microbenchmark, run from
+(* Smoke gate for the engine event-queue microbenchmark, run from
    the [engine-smoke] dune alias (hooked into [dune runtest]). Runs
    the scaled-down preset and asserts only that it completes with a
-   sample per (size, op, backend) cell and emits valid, well-shaped
+   sample per (size, op) cell and emits valid, well-shaped
    JSON — never a timing threshold, so CI stays deterministic on any
    host. *)
 
@@ -22,23 +22,18 @@ let contains s sub =
 
 let () =
   let ss = Enginebench.samples ~preset:Enginebench.Smoke () in
-  (* 2 sizes x 3 ops x 2 backends *)
-  check "every cell measured" (List.length ss = 12);
+  (* 2 sizes x 3 ops *)
+  check "every cell measured" (List.length ss = 6);
   let open Enginebench in
   List.iter
     (fun op ->
-      List.iter
-        (fun backend ->
-          check
-            (Printf.sprintf "%s/%s measured at both sizes" op backend)
-            (List.length
-               (List.filter (fun s -> s.s_op = op && s.s_backend = backend) ss)
-            = 2))
-        [ "heap"; "wheel" ])
+      check
+        (Printf.sprintf "%s measured at both sizes" op)
+        (List.length (List.filter (fun s -> s.s_op = op) ss) = 2))
     [ "schedule"; "cancel"; "drain" ];
   List.iter
     (fun s ->
-      let name = Printf.sprintf "%s/%s/%d" s.s_op s.s_backend s.s_pending in
+      let name = Printf.sprintf "%s/%d" s.s_op s.s_pending in
       check (name ^ ": wall time is non-negative") (s.s_wall_s >= 0.0);
       check (name ^ ": throughput is non-negative") (s.s_ops_per_s >= 0.0))
     ss;

@@ -1,8 +1,5 @@
-(** Imperative binary min-heap.
-
-    Used as the event queue of the discrete-event engine, where it must
-    sustain millions of push/pop operations; hence a flat-array
-    implementation rather than a functional one. *)
+(** Imperative binary min-heap over a flat array: the event queue of
+    {!Heap_engine}, the engine oracle. *)
 
 type 'a t
 
@@ -30,8 +27,8 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a
 
 (** [filter_in_place p h] drops every element for which [p] is false,
-    in O(n) (compaction plus bottom-up heapify) — the event engine uses
-    this to purge cancelled events without reallocating per element. *)
+    in O(n) (compaction plus bottom-up heapify) — the oracle uses this
+    to purge cancelled events without reallocating per element. *)
 val filter_in_place : ('a -> bool) -> 'a t -> unit
 
 (** Return the minimum element without removing it, or [None]. *)

@@ -167,6 +167,66 @@ let test_engine_handle_rebind () =
       ignore (Engine.run copy.tr_engine);
       check Alcotest.bool "timer fires on resume" true copy.tr_fired
 
+(* A checkpoint taken while cancelled timers are still queued as
+   tombstones and one cancellable timer is pending. The restored copy
+   must walk its queue lists to their end, which only works if the list
+   terminator travelled inside the image with them; cancelling the
+   restored handle and draining must then match a run that was never
+   checkpointed, event for event. *)
+
+type tomb_root = {
+  tb_engine : Engine.t;
+  tb_log : (int * int64) list ref;
+  tb_handle : Engine.handle;
+}
+
+let tomb_scenario () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note i () = log := (i, Engine.now e) :: !log in
+  List.iter (fun t -> Engine.at e (Int64.of_int t) (note t)) [ 10; 20; 30; 40 ];
+  let dead =
+    List.map (fun t -> Engine.at_cancellable e (Int64.of_int t) (note t)) [ 15; 25; 5_000 ]
+  in
+  let handle = Engine.at_cancellable e 35L (note 35) in
+  List.iter (Engine.cancel e) dead;
+  ignore (Engine.run ~until:12L e);
+  { tb_engine = e; tb_log = log; tb_handle = handle }
+
+(* Cancel the pending timer, hold at a bound short of the far tombstone,
+   then drain; report what an observer sees. *)
+let tomb_finish r =
+  let e = r.tb_engine in
+  Engine.cancel e r.tb_handle;
+  ignore (Engine.run ~until:4_000L e);
+  let held = Engine.now e in
+  ignore (Engine.run e);
+  (List.rev !(r.tb_log), held, Engine.now e, Engine.pending e, Engine.snapshot e)
+
+let test_tombstones_survive_checkpoint () =
+  let straight = tomb_scenario () in
+  let saved = tomb_scenario () in
+  check Alcotest.int "one live timer besides the plain events" 4 (Engine.pending saved.tb_engine);
+  check Alcotest.int "three tombstones queued" 3 (Engine.snapshot saved.tb_engine).Engine.s_dead;
+  let img = Checkpoint.save ~kind:"tombstones" saved in
+  match Checkpoint.load ~kind:"tombstones" img with
+  | Error e -> Alcotest.failf "load: %s" e
+  | Ok (_, (copy : tomb_root)) ->
+    Engine.rebind copy.tb_engine;
+    check Alcotest.bool "restored snapshot equals the saved one" true
+      (Engine.snapshot copy.tb_engine = Engine.snapshot saved.tb_engine);
+    let log_a, held_a, clock_a, pending_a, snap_a = tomb_finish straight in
+    let log_b, held_b, clock_b, pending_b, snap_b = tomb_finish copy in
+    let fires = Alcotest.(list (pair int int64)) in
+    check fires "uninterrupted fire order" [ (10, 10L); (20, 20L); (30, 30L); (40, 40L) ] log_a;
+    check fires "restored fire order" log_a log_b;
+    check Alcotest.int64 "the far tombstone holds the bounded clock" 4_000L held_a;
+    check Alcotest.int64 "held clock" held_a held_b;
+    check Alcotest.int64 "drained clock reaches the horizon" 5_000L clock_a;
+    check Alcotest.int64 "drained clock" clock_a clock_b;
+    check Alcotest.int "pending" pending_a pending_b;
+    check Alcotest.bool "final snapshots agree" true (snap_a = snap_b)
+
 (* ------------------------------------------------------------------ *)
 (* Whole-system fingerprints                                           *)
 
@@ -206,9 +266,9 @@ let test_system_snapshot_restore_in_place () =
   (* snapshots are closure-free summaries: once the closure-bearing
      control planes moved on, an in-place restore is refused rather
      than silently wrong — rewinding goes through a whole-image
-     checkpoint instead. With the timer wheel the event queue itself
-     drains back to the snapshot's (empty) shape, so the refusal is
-     witnessed by the kernels' idempotency caches, which only grow. *)
+     checkpoint instead. The event queue itself drains back to the
+     snapshot's (empty) shape, so the refusal is witnessed by the
+     kernels' idempotency caches, which only grow. *)
   (match
      System.syscall_sync sys a (Protocol.Sys_delegate_to { recv_vpe = b.Vpe.id; sel })
    with
@@ -477,6 +537,8 @@ let suite =
       test_membership_midhandoff_snapshot;
     Alcotest.test_case "engine handles survive restore via rebind" `Quick
       test_engine_handle_rebind;
+    Alcotest.test_case "queued tombstones survive a checkpoint" `Quick
+      test_tombstones_survive_checkpoint;
     Alcotest.test_case "fingerprints: equal histories alike, divergent apart" `Quick
       test_fingerprint_equal_then_divergent;
     Alcotest.test_case "system snapshot restores in place" `Quick

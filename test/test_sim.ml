@@ -51,7 +51,17 @@ let test_engine_past_rejected () =
           Engine.at e 5L (fun () -> ())));
   ignore (Engine.run e);
   Alcotest.check_raises "negative delay" (Invalid_argument "Engine.after: negative delay")
-    (fun () -> Engine.after e (-1L) (fun () -> ()))
+    (fun () -> Engine.after e (-1L) (fun () -> ()));
+  (* Times are native ints inside the engine: 2^62 cycles is one past
+     the last schedulable cycle. *)
+  let range = Invalid_argument "Engine.at: time exceeds the timer-wheel range" in
+  Alcotest.check_raises "time past 2^62" range (fun () ->
+      Engine.at e (Int64.shift_left 1L 62) (fun () -> ()));
+  Alcotest.check_raises "delay past 2^62" range (fun () ->
+      Engine.after e (Int64.sub (Int64.shift_left 1L 62) 5L) (fun () -> ()));
+  Engine.at e (Int64.of_int max_int) (fun () -> ());
+  ignore (Engine.run e);
+  check Alcotest.int64 "the last schedulable cycle" (Int64.of_int max_int) (Engine.now e)
 
 (* A bounded run with every event beyond the limit still advances the
    clock to the limit — and never rewinds it on a later, lower bound. *)
@@ -129,51 +139,58 @@ let test_engine_counts () =
 (* ------------------------------------------------------------------ *)
 (* Cancellable timers                                                  *)
 
-(* The lazy-deletion tests pin heap-mode semantics (skipped counts,
-   compaction) to the [Binary_heap] oracle backend; the wheel twins
-   below assert the eager-unlink semantics of the default backend.
-   Delivery order and clocks must be identical under both — that
-   equivalence is fuzzed in test_engine_model. *)
+(* The engine and the binary-heap oracle it replaced behind one
+   signature: the tests below pin the same behaviour on both, except
+   that only the heap counts the tombstones it pops as skipped.
+   Delivery order and clocks are fuzzed against each other in
+   test_engine_model. *)
+module type QUEUE = sig
+  type t
+  type handle
 
-let test_cancel_before_fire () =
-  let e = Engine.create ~queue:Engine.Binary_heap () in
+  val create : unit -> t
+  val now : t -> int64
+  val at : t -> int64 -> (unit -> unit) -> unit
+  val at_cancellable : t -> int64 -> (unit -> unit) -> handle
+  val after_cancellable : t -> int64 -> (unit -> unit) -> handle
+  val cancel : t -> handle -> unit
+  val run : ?until:int64 -> t -> int
+  val events_processed : t -> int
+  val events_cancelled : t -> int
+  val events_skipped : t -> int
+  val heap_peak : t -> int
+  val pending : t -> int
+  val queued : t -> int
+end
+
+let engine : (module QUEUE) =
+  (module struct
+    include Engine
+
+    let create () = Engine.create ()
+    let queued e = (Engine.snapshot e).Engine.s_queued
+  end)
+
+let oracle : (module QUEUE) = (module Heap_engine)
+
+let test_cancel_before_fire (module Q : QUEUE) ~skipped () =
+  let e = Q.create () in
   let fired = ref false and live = ref false in
-  let h = Engine.after_cancellable e 20L (fun () -> fired := true) in
-  Engine.after e 10L (fun () -> live := true);
-  check Alcotest.int "pending counts both" 2 (Engine.pending e);
-  Engine.cancel e h;
-  check Alcotest.int "pending excludes dead" 1 (Engine.pending e);
-  check Alcotest.int "cancelled" 1 (Engine.events_cancelled e);
-  ignore (Engine.run e);
+  let h = Q.after_cancellable e 20L (fun () -> fired := true) in
+  Q.at e 10L (fun () -> live := true);
+  check Alcotest.int "pending counts both" 2 (Q.pending e);
+  Q.cancel e h;
+  check Alcotest.int "pending excludes cancelled" 1 (Q.pending e);
+  check Alcotest.int "tombstone stays queued" 2 (Q.queued e);
+  check Alcotest.int "cancelled" 1 (Q.events_cancelled e);
+  ignore (Q.run e);
   check Alcotest.bool "cancelled never fires" false !fired;
   check Alcotest.bool "live fires" true !live;
-  check Alcotest.int "processed excludes cancelled" 1 (Engine.events_processed e);
-  check Alcotest.int "dead slot discarded by run" 1 (Engine.events_skipped e);
+  check Alcotest.int "processed excludes cancelled" 1 (Q.events_processed e);
+  check Alcotest.int "tombstones popped and counted as skipped" skipped (Q.events_skipped e);
   (* The seed engine executed the dead event as a no-op at cycle 20 and
      the clock followed it; the drained clock must still land there. *)
-  check Alcotest.int64 "clock reaches the cancelled horizon" 20L (Engine.now e)
-
-(* Same scenario under the default wheel backend: the cancel unlinks
-   the event immediately, so nothing is ever skipped, while delivery,
-   counters visible to simulated time, and the drained clock match the
-   heap exactly. *)
-let test_cancel_before_fire_wheel () =
-  let e = Engine.create () in
-  check Alcotest.bool "wheel is the default backend" true
-    (Engine.queue_kind e = Engine.Timer_wheel);
-  let fired = ref false and live = ref false in
-  let h = Engine.after_cancellable e 20L (fun () -> fired := true) in
-  Engine.after e 10L (fun () -> live := true);
-  check Alcotest.int "pending counts both" 2 (Engine.pending e);
-  Engine.cancel e h;
-  check Alcotest.int "pending excludes cancelled" 1 (Engine.pending e);
-  check Alcotest.int "cancelled" 1 (Engine.events_cancelled e);
-  ignore (Engine.run e);
-  check Alcotest.bool "cancelled never fires" false !fired;
-  check Alcotest.bool "live fires" true !live;
-  check Alcotest.int "processed excludes cancelled" 1 (Engine.events_processed e);
-  check Alcotest.int "eager unlink never skips" 0 (Engine.events_skipped e);
-  check Alcotest.int64 "clock reaches the cancelled horizon" 20L (Engine.now e)
+  check Alcotest.int64 "clock reaches the cancelled horizon" 20L (Q.now e)
 
 let test_cancel_after_fire_and_double () =
   let e = Engine.create () in
@@ -191,99 +208,67 @@ let test_cancel_after_fire_and_double () =
   check Alcotest.int "cancelled callback never ran" 1 !n
 
 let test_cancel_interleaved_with_until () =
-  let run_with queue =
-    let e = Engine.create ~queue () in
+  let run_with (module Q : QUEUE) =
+    let e = Q.create () in
     let order = ref [] in
     let note x () = order := x :: !order in
-    ignore (Engine.after_cancellable e 10L (note 10));
-    let h20 = Engine.after_cancellable e 20L (note 20) in
-    ignore (Engine.after_cancellable e 30L (note 30));
-    ignore (Engine.run ~until:15L e);
+    ignore (Q.at_cancellable e 10L (note 10));
+    let h20 = Q.at_cancellable e 20L (note 20) in
+    ignore (Q.at_cancellable e 30L (note 30));
+    ignore (Q.run ~until:15L e);
     check Alcotest.(list int) "first window" [ 10 ] (List.rev !order);
     (* Cancel between bounded runs: the event is already queued below the
-       next window's limit, so [run] must discard it when it surfaces. *)
-    Engine.cancel e h20;
-    ignore (Engine.run e);
+       next window's limit, so [run] must drop it when it comes due. *)
+    Q.cancel e h20;
+    ignore (Q.run e);
     check Alcotest.(list int) "cancelled event elided" [ 10; 30 ] (List.rev !order);
-    check Alcotest.int "processed" 2 (Engine.events_processed e);
-    check Alcotest.int "cancelled" 1 (Engine.events_cancelled e);
-    Engine.events_skipped e
+    check Alcotest.int "processed" 2 (Q.events_processed e);
+    check Alcotest.int "cancelled" 1 (Q.events_cancelled e);
+    Q.events_skipped e
   in
-  (* Heap mode discards the dead event when it surfaces; the wheel
-     removed it at cancel time, so nothing surfaces to skip. *)
-  check Alcotest.int "skipped (heap)" 1 (run_with Engine.Binary_heap);
-  check Alcotest.int "skipped (wheel)" 0 (run_with Engine.Timer_wheel)
+  check Alcotest.int "skipped (heap)" 1 (run_with oracle);
+  check Alcotest.int "skipped (engine)" 0 (run_with engine)
 
-let test_cancel_compaction () =
-  let e = Engine.create ~queue:Engine.Binary_heap () in
+(* Far-future victims interleaved with near-term survivors; cancelling
+   every victim pushes the dead fraction over 1/2 on a queue well past
+   the compaction floor, so the tombstones are removed wholesale and
+   the survivors must still fire in order. *)
+let test_cancel_compaction (module Q : QUEUE) () =
+  let e = Q.create () in
   let fired = ref [] in
-  (* Far-future victims interleaved with near-term survivors; cancelling
-     every victim pushes the dead fraction over 1/2 on a heap well past
-     the compaction floor, so the dead slots are removed wholesale
-     (skipped stays 0) and the survivors must still fire in order. *)
   let victims =
     List.init 200 (fun i ->
-        Engine.at_cancellable e (Int64.of_int (1000 + i)) (fun () -> fired := (-i) :: !fired))
+        Q.at_cancellable e (Int64.of_int (1000 + i)) (fun () -> fired := (-i) :: !fired))
   in
   for i = 1 to 10 do
-    Engine.at e (Int64.of_int i) (fun () -> fired := i :: !fired)
+    Q.at e (Int64.of_int i) (fun () -> fired := i :: !fired)
   done;
-  check Alcotest.int "pending before" 210 (Engine.pending e);
-  List.iter (Engine.cancel e) victims;
-  check Alcotest.int "pending after mass cancel" 10 (Engine.pending e);
-  check Alcotest.int "cancelled" 200 (Engine.events_cancelled e);
-  check Alcotest.bool "heap_peak saw the full queue" true (Engine.heap_peak e >= 210);
-  ignore (Engine.run e);
-  check Alcotest.(list int) "survivors fire in order" (List.init 10 (fun i -> i + 1))
-    (List.rev !fired);
+  check Alcotest.int "pending before" 210 (Q.pending e);
+  List.iter (Q.cancel e) victims;
+  check Alcotest.int "pending after mass cancel" 10 (Q.pending e);
+  check Alcotest.int "cancelled" 200 (Q.events_cancelled e);
+  check Alcotest.bool "peak saw the full queue" true (Q.heap_peak e >= 210);
   (* Compaction keeps the dead backlog below its trigger floor: at most
      63 tombstones can survive to be popped one by one. *)
-  check Alcotest.bool "most dead slots removed wholesale" true (Engine.events_skipped e < 64);
-  check Alcotest.int64 "clock still reaches the horizon" 1199L (Engine.now e)
-
-(* The wheel twin of the mass-cancel test: no compaction machinery —
-   every cancel unlinks its cell on the spot, so [pending] and the
-   occupancy peak track live events exactly and nothing is skipped. *)
-let test_cancel_mass_wheel () =
-  let e = Engine.create () in
-  let fired = ref [] in
-  let victims =
-    List.init 200 (fun i ->
-        Engine.at_cancellable e (Int64.of_int (1000 + i)) (fun () -> fired := (-i) :: !fired))
-  in
-  for i = 1 to 10 do
-    Engine.at e (Int64.of_int i) (fun () -> fired := i :: !fired)
-  done;
-  check Alcotest.int "pending before" 210 (Engine.pending e);
-  check Alcotest.int "occupancy peak saw the full queue" 210 (Engine.heap_peak e);
-  List.iter (Engine.cancel e) victims;
-  check Alcotest.int "pending after mass cancel" 10 (Engine.pending e);
-  check Alcotest.int "cancelled" 200 (Engine.events_cancelled e);
-  ignore (Engine.run e);
+  check Alcotest.bool "most tombstones removed wholesale" true (Q.queued e < 64);
+  ignore (Q.run e);
   check Alcotest.(list int) "survivors fire in order" (List.init 10 (fun i -> i + 1))
     (List.rev !fired);
-  check Alcotest.int "nothing skipped" 0 (Engine.events_skipped e);
-  check Alcotest.int64 "clock still reaches the horizon" 1199L (Engine.now e)
+  check Alcotest.int64 "clock still reaches the horizon" 1199L (Q.now e)
 
 let test_cancel_obs_counters () =
-  let skipped_json queue =
-    let obs = Obs.Registry.create () in
-    let e = Engine.create ~obs ~queue () in
-    let h = Engine.after_cancellable e 5L (fun () -> ()) in
-    Engine.cancel e h;
-    ignore (Engine.run e);
-    let s = Obs.Json.to_string (Obs.Registry.snapshot obs) in
-    let has sub = Str_contains.contains s sub in
-    check Alcotest.bool "events_cancelled exported" true
-      (has "\"engine.events_cancelled\":{\"type\":\"counter\",\"value\":1}");
-    check Alcotest.bool "heap_peak exported" true
-      (has "\"engine.heap_peak\":{\"type\":\"gauge\"");
-    has "\"engine.events_skipped\":{\"type\":\"counter\",\"value\":1}"
-  in
-  check Alcotest.bool "events_skipped counts under the heap" true
-    (skipped_json Engine.Binary_heap);
-  check Alcotest.bool "events_skipped stays zero under the wheel" false
-    (skipped_json Engine.Timer_wheel)
+  let obs = Obs.Registry.create () in
+  let e = Engine.create ~obs () in
+  let h = Engine.after_cancellable e 5L (fun () -> ()) in
+  Engine.cancel e h;
+  ignore (Engine.run e);
+  let s = Obs.Json.to_string (Obs.Registry.snapshot obs) in
+  let has sub = Str_contains.contains s sub in
+  check Alcotest.bool "events_cancelled exported" true
+    (has "\"engine.events_cancelled\":{\"type\":\"counter\",\"value\":1}");
+  check Alcotest.bool "heap_peak exported" true (has "\"engine.heap_peak\":{\"type\":\"gauge\"");
+  check Alcotest.bool "events_skipped exported and zero" true
+    (has "\"engine.events_skipped\":{\"type\":\"counter\",\"value\":0}")
 
 (* Regression: with cancellable retry timers the event queue tracks
    in-flight work, not history. The seed engine left every acked IKC
@@ -351,35 +336,33 @@ let test_wheel_cascade_order () =
     (List.rev !log);
   check Alcotest.int64 "clock at last event" 1_073_741_824L (Engine.now e)
 
-(* Regression (tentpole of the timer-wheel PR): under the heap a
-   cancelled timer beyond a bounded run's limit still occupies the
-   queue as a dead slot, so the run stops its clock at the limit; the
-   wheel unlinks eagerly, and without the shadow dead-times queue it
-   judged its queue drained and jumped the clock to [horizon] —
-   sliding every later relative schedule by the difference. The
-   balance bench caught this via a cancelled retry timer. *)
+(* Regression: under the heap a cancelled timer beyond a bounded run's
+   limit still occupies the queue as a dead slot, so the run stops its
+   clock at the limit. A queue that forgets cancelled events at once
+   judges itself drained and jumps the clock to [horizon], sliding every
+   later relative schedule by the difference; the balance bench caught
+   this via a cancelled retry timer. The engine's tombstone holds the
+   clock as the heap's dead slot does. *)
 let test_cancelled_horizon_clock_parity () =
-  let clocks queue =
-    let e = Engine.create ~queue () in
-    let h =
-      Engine.after_cancellable e 50_000L (fun () -> Alcotest.fail "cancelled event fired")
-    in
-    Engine.cancel e h;
-    ignore (Engine.run ~until:1_000L e);
-    let c1 = Engine.now e in
-    ignore (Engine.run ~until:2_000L e);
-    let c2 = Engine.now e in
-    ignore (Engine.run e);
-    (c1, c2, Engine.now e)
+  let clocks (module Q : QUEUE) =
+    let e = Q.create () in
+    let h = Q.after_cancellable e 50_000L (fun () -> Alcotest.fail "cancelled event fired") in
+    Q.cancel e h;
+    ignore (Q.run ~until:1_000L e);
+    let c1 = Q.now e in
+    ignore (Q.run ~until:2_000L e);
+    let c2 = Q.now e in
+    ignore (Q.run e);
+    (c1, c2, Q.now e)
   in
-  let hc1, hc2, hc3 = clocks Engine.Binary_heap in
-  let wc1, wc2, wc3 = clocks Engine.Timer_wheel in
+  let hc1, hc2, hc3 = clocks oracle in
+  let wc1, wc2, wc3 = clocks engine in
   check Alcotest.int64 "bounded run holds at the limit (heap)" 1_000L hc1;
-  check Alcotest.int64 "bounded run holds at the limit (wheel)" 1_000L wc1;
+  check Alcotest.int64 "bounded run holds at the limit (engine)" 1_000L wc1;
   check Alcotest.int64 "second bounded run (heap)" 2_000L hc2;
-  check Alcotest.int64 "second bounded run (wheel)" 2_000L wc2;
+  check Alcotest.int64 "second bounded run (engine)" 2_000L wc2;
   check Alcotest.int64 "drain catches up to the cancelled horizon (heap)" 50_000L hc3;
-  check Alcotest.int64 "drain catches up to the cancelled horizon (wheel)" 50_000L wc3
+  check Alcotest.int64 "drain catches up to the cancelled horizon (engine)" 50_000L wc3
 
 (* Regression (satellite of the timer-wheel PR): a quiescent rewind
    left [flushed_*] at their pre-restore high-water marks, so the next
@@ -394,19 +377,21 @@ let test_restore_rewinds_flush_marks () =
   let snap = Engine.snapshot e in
   (* move on: three more events, flushed into Totals *)
   for _ = 1 to 3 do
-    Engine.after e 10L (fun () -> ())
+    Engine.after e 1_000L (fun () -> ())
   done;
   ignore (Engine.run e);
   check Alcotest.int "moved on" 5 (Engine.events_processed e);
   Engine.restore e snap;
   check Alcotest.int "rewound" 2 (Engine.events_processed e);
-  (* replay the same three events: Totals must count them again *)
+  (* replay three events, earlier than the ones the rewind undid:
+     Totals must count them again *)
   let before = Engine.Totals.processed () in
   for _ = 1 to 3 do
     Engine.after e 10L (fun () -> ())
   done;
   ignore (Engine.run e);
-  check Alcotest.int "replayed work reaches Totals" 3 (Engine.Totals.processed () - before)
+  check Alcotest.int "replayed work reaches Totals" 3 (Engine.Totals.processed () - before);
+  check Alcotest.int64 "replayed events fire at their rewound times" 20L (Engine.now e)
 
 (* ------------------------------------------------------------------ *)
 (* Server                                                              *)
@@ -483,13 +468,16 @@ let suite =
     Alcotest.test_case "engine bounded run, same-time events" `Quick test_engine_until_same_time;
     Alcotest.test_case "engine rejects the past" `Quick test_engine_past_rejected;
     Alcotest.test_case "engine counters" `Quick test_engine_counts;
-    Alcotest.test_case "cancel before fire (heap oracle)" `Quick test_cancel_before_fire;
-    Alcotest.test_case "cancel before fire (wheel)" `Quick test_cancel_before_fire_wheel;
+    Alcotest.test_case "cancel before fire (heap oracle)" `Quick
+      (test_cancel_before_fire oracle ~skipped:1);
+    Alcotest.test_case "cancel before fire (wheel)" `Quick
+      (test_cancel_before_fire engine ~skipped:0);
     Alcotest.test_case "cancel after fire / double cancel" `Quick test_cancel_after_fire_and_double;
     Alcotest.test_case "cancel interleaved with bounded runs" `Quick
       test_cancel_interleaved_with_until;
-    Alcotest.test_case "mass cancel compacts the heap" `Quick test_cancel_compaction;
-    Alcotest.test_case "mass cancel unlinks eagerly (wheel)" `Quick test_cancel_mass_wheel;
+    Alcotest.test_case "mass cancel compacts the heap" `Quick (test_cancel_compaction oracle);
+    Alcotest.test_case "mass cancel compacts the wheel" `Quick
+      (test_cancel_compaction engine);
     Alcotest.test_case "wheel cascade preserves order" `Quick test_wheel_cascade_order;
     Alcotest.test_case "cancelled horizon holds the clock (both backends)" `Quick
       test_cancelled_horizon_clock_parity;

@@ -1,5 +1,5 @@
-(* Unit and property tests for the utility substrate: heap, RNG,
-   statistics, table rendering. *)
+(* Unit and property tests for the utility substrate (RNG, statistics,
+   table rendering) and for the binary heap behind the engine oracle. *)
 
 open Semperos
 
