@@ -7,6 +7,67 @@ let nil = -1
    sibling list, so the placeholder value is never observed. *)
 let dummy_key = Key.make ~pe:0 ~vpe:0 ~kind:Key.Vpe_obj ~obj:0
 
+(* (parent slot, child key) -> child cell: the O(1) duplicate check.
+   Chained buckets like [Hashtbl]'s, but both key halves sit inline in
+   the bucket cell, so a probe builds no tuple, compares with
+   [Key.equal] and returns [nil] rather than an option. Nothing ever
+   iterates it, so its layout is never observed. *)
+module Childset = struct
+  type bucket = Empty | Cons of { slot : int; key : Key.t; cell : int; mutable next : bucket }
+  type t = { mutable data : bucket array; mutable size : int }
+
+  let create () = { data = Array.make 64 Empty; size = 0 }
+
+  let index data slot key =
+    (Key.hash key lxor (slot * 0x9E3779B1)) land (Array.length data - 1)
+
+  let find t slot key =
+    let rec go = function
+      | Empty -> nil
+      | Cons c -> if c.slot = slot && Key.equal c.key key then c.cell else go c.next
+    in
+    go t.data.(index t.data slot key)
+
+  let resize t =
+    let old = t.data in
+    let data = Array.make (2 * Array.length old) Empty in
+    let rec move = function
+      | Empty -> ()
+      | Cons c as b ->
+        let next = c.next in
+        let i = index data c.slot c.key in
+        c.next <- data.(i);
+        data.(i) <- b;
+        move next
+    in
+    Array.iter move old;
+    t.data <- data
+
+  (* The caller has checked that the pair is absent. *)
+  let add t slot key cell =
+    let i = index t.data slot key in
+    t.data.(i) <- Cons { slot; key; cell; next = t.data.(i) };
+    t.size <- t.size + 1;
+    if t.size > 2 * Array.length t.data then resize t
+
+  let remove t slot key =
+    let i = index t.data slot key in
+    let rec go prev = function
+      | Empty -> ()
+      | Cons c as b ->
+        if c.slot = slot && Key.equal c.key key then begin
+          t.size <- t.size - 1;
+          match prev with Empty -> t.data.(i) <- c.next | Cons p -> p.next <- c.next
+        end
+        else go b c.next
+    in
+    go Empty t.data.(i)
+
+  let reset t =
+    Array.fill t.data 0 (Array.length t.data) Empty;
+    t.size <- 0
+end
+
 type t = {
   (* Record plane: one slot per capability. *)
   mutable slots : Cap.t option array;
@@ -22,18 +83,17 @@ type t = {
   mutable vpe_prev : int array;
   mutable pe_next : int array;
   mutable pe_prev : int array;
-  vpe_head : (int, int) Hashtbl.t;
-  vpe_tail : (int, int) Hashtbl.t;
-  pe_head : (int, int) Hashtbl.t;
-  pe_tail : (int, int) Hashtbl.t;
+  (* Chain heads (slot indices) by owner VPE id and by key PE, [nil]
+     for an empty chain; grown on demand to cover the largest id seen. *)
+  mutable vpe_head : int array;
+  mutable pe_head : int array;
   (* Child-cell plane: flat doubly-linked sibling lists. *)
   mutable cell_key : Key.t array;
   mutable cell_next : int array;
   mutable cell_prev : int array;
   mutable cell_free : int list;
   mutable cell_cap : int;  (* cells handed out so far (free or live) *)
-  (* (parent slot, child key) -> cell: the O(1) duplicate check. *)
-  childset : (int * Key.t, int) Hashtbl.t;
+  childset : Childset.t;
 }
 
 let initial = 64
@@ -51,16 +111,14 @@ let create () =
     vpe_prev = Array.make initial nil;
     pe_next = Array.make initial nil;
     pe_prev = Array.make initial nil;
-    vpe_head = Hashtbl.create 16;
-    vpe_tail = Hashtbl.create 16;
-    pe_head = Hashtbl.create 16;
-    pe_tail = Hashtbl.create 16;
+    vpe_head = Array.make 16 nil;
+    pe_head = Array.make 16 nil;
     cell_key = Array.make initial dummy_key;
     cell_next = Array.make initial nil;
     cell_prev = Array.make initial nil;
     cell_free = [];
     cell_cap = 0;
-    childset = Hashtbl.create initial;
+    childset = Childset.create ();
   }
 
 let grow_int_array a n fill =
@@ -112,24 +170,43 @@ let free_cell t c =
 
 (* ---- intrusive ownership chains ---------------------------------- *)
 
-let chain_append ~next ~prev ~head ~tail s id =
-  match Hashtbl.find_opt tail id with
-  | None ->
-    Hashtbl.replace head id s;
-    Hashtbl.replace tail id s
-  | Some last ->
+(* [a] widened to cover index [id]. *)
+let widen a id = grow_int_array a (max (2 * Array.length a) (id + 1)) nil
+
+let fit_chains t ~vpe ~pe =
+  if vpe >= Array.length t.vpe_head then t.vpe_head <- widen t.vpe_head vpe;
+  if pe >= Array.length t.pe_head then t.pe_head <- widen t.pe_head pe
+
+(* A chain runs through [next] from its head to [nil], and back through
+   [prev], where the head's [prev] is the tail rather than [nil]: an
+   append finds the tail in O(1) without a per-id tail array (which,
+   indexed by global ids in every kernel's arena, would double the
+   chains' O(kernels x ids) footprint). [head] already covers [id]
+   ([fit_chains]). *)
+let chain_append ~next ~prev ~head s id =
+  let h = head.(id) in
+  if h = nil then begin
+    head.(id) <- s;
+    prev.(s) <- s
+  end
+  else begin
+    let last = prev.(h) in
     next.(last) <- s;
     prev.(s) <- last;
-    Hashtbl.replace tail id s
+    prev.(h) <- s
+  end
 
-let chain_unlink ~next ~prev ~head ~tail s id =
-  let p = prev.(s) and n = next.(s) in
-  (if p = nil then
-     if n = nil then Hashtbl.remove head id else Hashtbl.replace head id n
-   else next.(p) <- n);
-  (if n = nil then
-     if p = nil then Hashtbl.remove tail id else Hashtbl.replace tail id p
-   else prev.(n) <- p);
+let chain_unlink ~next ~prev ~head s id =
+  let h = head.(id) and p = prev.(s) and n = next.(s) in
+  if s = h then begin
+    head.(id) <- n;
+    (* [p] is the tail. *)
+    if n <> nil then prev.(n) <- p
+  end
+  else begin
+    next.(p) <- n;
+    if n = nil then prev.(h) <- p else prev.(n) <- p
+  end;
   prev.(s) <- nil;
   next.(s) <- nil
 
@@ -145,6 +222,7 @@ let count t = t.live
 
 let insert t (cap : Cap.t) =
   if mem t cap.Cap.key then invalid_arg "Mapdb.insert: duplicate key";
+  if cap.Cap.owner_vpe < 0 then invalid_arg "Arena.insert: negative owner VPE";
   let s =
     match t.slot_free with
     | s :: rest ->
@@ -163,17 +241,16 @@ let insert t (cap : Cap.t) =
   t.last_child.(s) <- nil;
   t.n_children.(s) <- 0;
   Key.Table.replace t.slot_of_key cap.Cap.key s;
-  chain_append ~next:t.vpe_next ~prev:t.vpe_prev ~head:t.vpe_head ~tail:t.vpe_tail s
-    cap.Cap.owner_vpe;
-  chain_append ~next:t.pe_next ~prev:t.pe_prev ~head:t.pe_head ~tail:t.pe_tail s
-    (Key.pe cap.Cap.key);
+  fit_chains t ~vpe:cap.Cap.owner_vpe ~pe:(Key.pe cap.Cap.key);
+  chain_append ~next:t.vpe_next ~prev:t.vpe_prev ~head:t.vpe_head s cap.Cap.owner_vpe;
+  chain_append ~next:t.pe_next ~prev:t.pe_prev ~head:t.pe_head s (Key.pe cap.Cap.key);
   t.live <- t.live + 1
 
 let free_children_cells t s =
   let c = ref t.first_child.(s) in
   while !c <> nil do
     let next = t.cell_next.(!c) in
-    Hashtbl.remove t.childset (s, t.cell_key.(!c));
+    Childset.remove t.childset s t.cell_key.(!c);
     free_cell t !c;
     c := next
   done;
@@ -187,9 +264,9 @@ let remove t key =
   | Some s ->
     let cap = match t.slots.(s) with Some c -> c | None -> assert false in
     free_children_cells t s;
-    chain_unlink ~next:t.vpe_next ~prev:t.vpe_prev ~head:t.vpe_head ~tail:t.vpe_tail s
+    chain_unlink ~next:t.vpe_next ~prev:t.vpe_prev ~head:t.vpe_head s
       cap.Cap.owner_vpe;
-    chain_unlink ~next:t.pe_next ~prev:t.pe_prev ~head:t.pe_head ~tail:t.pe_tail s
+    chain_unlink ~next:t.pe_next ~prev:t.pe_prev ~head:t.pe_head s
       (Key.pe cap.Cap.key);
     t.slots.(s) <- None;
     Key.Table.remove t.slot_of_key key;
@@ -215,7 +292,7 @@ let slot_exn t name parent =
 
 let add_child t ~parent key =
   let s = slot_exn t "Mapdb.add_child" parent in
-  if Hashtbl.mem t.childset (s, key) then invalid_arg "Mapdb.add_child: duplicate child";
+  if Childset.find t.childset s key <> nil then invalid_arg "Mapdb.add_child: duplicate child";
   let c = alloc_cell t key in
   (match t.last_child.(s) with
   | last when last = nil -> t.first_child.(s) <- c
@@ -224,26 +301,26 @@ let add_child t ~parent key =
     t.cell_prev.(c) <- last);
   t.last_child.(s) <- c;
   t.n_children.(s) <- t.n_children.(s) + 1;
-  Hashtbl.replace t.childset (s, key) c
+  Childset.add t.childset s key c
 
 let remove_child t ~parent key =
   match Key.Table.find_opt t.slot_of_key parent with
   | None -> ()
   | Some s -> (
-    match Hashtbl.find_opt t.childset (s, key) with
-    | None -> ()
-    | Some c ->
+    match Childset.find t.childset s key with
+    | c when c = nil -> ()
+    | c ->
       let p = t.cell_prev.(c) and n = t.cell_next.(c) in
       (if p = nil then t.first_child.(s) <- n else t.cell_next.(p) <- n);
       (if n = nil then t.last_child.(s) <- p else t.cell_prev.(n) <- p);
-      Hashtbl.remove t.childset (s, key);
+      Childset.remove t.childset s key;
       t.n_children.(s) <- t.n_children.(s) - 1;
       free_cell t c)
 
 let has_child t ~parent key =
   match Key.Table.find_opt t.slot_of_key parent with
   | None -> false
-  | Some s -> Hashtbl.mem t.childset (s, key)
+  | Some s -> Childset.find t.childset s key <> nil
 
 let iter_children t parent f =
   match Key.Table.find_opt t.slot_of_key parent with
@@ -285,16 +362,13 @@ let set_children t parent keys =
 (* ---- ownership queries ------------------------------------------- *)
 
 let chain_to_list t ~head ~next id =
-  match Hashtbl.find_opt head id with
-  | None -> []
-  | Some s0 ->
-    let acc = ref [] in
-    let s = ref s0 in
-    while !s <> nil do
-      (match t.slots.(!s) with Some cap -> acc := cap :: !acc | None -> assert false);
-      s := next.(!s)
-    done;
-    List.rev !acc
+  let acc = ref [] in
+  let s = ref (if id >= 0 && id < Array.length head then head.(id) else nil) in
+  while !s <> nil do
+    (match t.slots.(!s) with Some cap -> acc := cap :: !acc | None -> assert false);
+    s := next.(!s)
+  done;
+  List.rev !acc
 
 let caps_of_vpe t ~vpe = chain_to_list t ~head:t.vpe_head ~next:t.vpe_next vpe
 let caps_of_pe t ~pe = chain_to_list t ~head:t.pe_head ~next:t.pe_next pe
@@ -316,8 +390,6 @@ let clear t =
   t.cell_cap <- 0;
   t.live <- 0;
   Key.Table.reset t.slot_of_key;
-  Hashtbl.reset t.vpe_head;
-  Hashtbl.reset t.vpe_tail;
-  Hashtbl.reset t.pe_head;
-  Hashtbl.reset t.pe_tail;
-  Hashtbl.reset t.childset
+  Array.fill t.vpe_head 0 (Array.length t.vpe_head) nil;
+  Array.fill t.pe_head 0 (Array.length t.pe_head) nil;
+  Childset.reset t.childset

@@ -14,14 +14,15 @@
     lists are LIFO, so for a fixed operation history every traversal
     order is fixed — independent of hashing, domains, or host.
 
-    Everything inside is plain OCaml data (arrays, lists, hashtables):
+    Everything inside is plain OCaml data (arrays, lists, hash buckets):
     the arena marshals, which whole-image fuzz checkpoints rely on. *)
 
 type t
 
 val create : unit -> t
 
-(** Raises [Invalid_argument] if the key is already present. *)
+(** Raises [Invalid_argument] if the key is already present or the
+    owner VPE id is negative (ownership chains are indexed by it). *)
 val insert : t -> Cap.t -> unit
 
 val find : t -> Semper_ddl.Key.t -> Cap.t option

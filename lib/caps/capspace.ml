@@ -1,4 +1,5 @@
 module Key = Semper_ddl.Key
+module Int_table = Semper_util.Int_table
 
 type selector = int
 
@@ -12,39 +13,39 @@ type selector = int
    [remove] only drops a [rev] entry that points at the removed
    selector. *)
 type t = {
-  slots : (selector, Key.t) Hashtbl.t;
+  slots : Key.t Int_table.t;
   rev : selector Key.Table.t;
   mutable next_hint : int;
 }
 
-let create () = { slots = Hashtbl.create 16; rev = Key.Table.create 16; next_hint = 0 }
+let create () = { slots = Int_table.create 16; rev = Key.Table.create 16; next_hint = 0 }
 
 let insert t key =
-  let rec free sel = if Hashtbl.mem t.slots sel then free (sel + 1) else sel in
+  let rec free sel = if Int_table.mem t.slots sel then free (sel + 1) else sel in
   let sel = free t.next_hint in
-  Hashtbl.add t.slots sel key;
+  Int_table.add t.slots sel key;
   Key.Table.replace t.rev key sel;
   t.next_hint <- sel + 1;
   sel
 
 let insert_at t sel key =
   if sel < 0 then invalid_arg "Capspace.insert_at: negative selector";
-  if Hashtbl.mem t.slots sel then invalid_arg "Capspace.insert_at: selector taken";
-  Hashtbl.add t.slots sel key;
+  if Int_table.mem t.slots sel then invalid_arg "Capspace.insert_at: selector taken";
+  Int_table.add t.slots sel key;
   Key.Table.replace t.rev key sel
 
-let find t sel = Hashtbl.find_opt t.slots sel
+let find t sel = Int_table.find_opt t.slots sel
 
 let selector_of t key = Key.Table.find_opt t.rev key
 
 let remove t sel =
-  (match Hashtbl.find_opt t.slots sel with
+  (match Int_table.find_opt t.slots sel with
   | Some key -> (
     match Key.Table.find_opt t.rev key with
     | Some s when s = sel -> Key.Table.remove t.rev key
     | Some _ | None -> ())
   | None -> ());
-  Hashtbl.remove t.slots sel;
+  Int_table.remove t.slots sel;
   if sel < t.next_hint then t.next_hint <- sel
 
 let remove_key t key =
@@ -52,25 +53,25 @@ let remove_key t key =
   | Some sel -> remove t sel
   | None -> ()
 
-let count t = Hashtbl.length t.slots
-let iter f t = Hashtbl.iter f t.slots
+let count t = Int_table.length t.slots
+let iter f t = Int_table.iter f t.slots
 
 type snapshot = { s_slots : (selector * Key.t) list; s_next_hint : int }  (* sorted by selector *)
 
 let snapshot t =
   {
     s_slots =
-      Hashtbl.fold (fun sel key acc -> (sel, key) :: acc) t.slots []
+      Int_table.fold (fun sel key acc -> (sel, key) :: acc) t.slots []
       |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
     s_next_hint = t.next_hint;
   }
 
 let restore t s =
-  Hashtbl.reset t.slots;
+  Int_table.reset t.slots;
   Key.Table.reset t.rev;
   List.iter
     (fun (sel, key) ->
-      Hashtbl.replace t.slots sel key;
+      Int_table.replace t.slots sel key;
       Key.Table.replace t.rev key sel)
     s.s_slots;
   t.next_hint <- s.s_next_hint

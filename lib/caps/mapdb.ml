@@ -1,4 +1,5 @@
 module Key = Semper_ddl.Key
+module Int_table = Semper_util.Int_table
 
 type t = {
   arena : Arena.t;
@@ -6,12 +7,12 @@ type t = {
   (* Partitions (key PE numbers) touched by a structural change since
      the last [drain_dirty] — consumed by the incremental audit. Pure
      host-side bookkeeping: not part of snapshots or fingerprints. *)
-  dirty : (int, unit) Hashtbl.t;
+  dirty : unit Int_table.t;
 }
 
-let create () = { arena = Arena.create (); next_obj = 0; dirty = Hashtbl.create 16 }
+let create () = { arena = Arena.create (); next_obj = 0; dirty = Int_table.create 16 }
 
-let touch t key = Hashtbl.replace t.dirty (Key.pe key) ()
+let touch t key = Int_table.replace t.dirty (Key.pe key) ()
 
 let insert t cap =
   Arena.insert t.arena cap;
@@ -61,8 +62,8 @@ let set_children t parent keys =
   List.iter (fun k -> touch t k) keys
 
 let drain_dirty t =
-  let pes = Hashtbl.fold (fun pe () acc -> pe :: acc) t.dirty [] in
-  Hashtbl.reset t.dirty;
+  let pes = Int_table.fold (fun pe () acc -> pe :: acc) t.dirty [] in
+  Int_table.reset t.dirty;
   List.sort compare pes
 
 let fresh_obj t =

@@ -7,6 +7,7 @@ module Engine = Semper_sim.Engine
 module Server = Semper_sim.Server
 module Fabric = Semper_noc.Fabric
 module Obs = Semper_obs.Obs
+module Int_table = Semper_util.Int_table
 module P = Protocol
 
 let src = Logs.Src.create "semper.kernel" ~doc:"SemperOS kernel"
@@ -149,7 +150,7 @@ type pending =
   | P_part_caps of { pc_vpes : Vpe.t list; pc_done : unit -> unit }
 
 and fleet_op = {
-  f_peers : (int, unit) Hashtbl.t;
+  f_peers : unit Int_table.t;
   f_done : unit -> unit;
   mutable f_timer : Engine.handle option;
 }
@@ -158,7 +159,7 @@ and part_op = {
   p_pes : int list;
   p_vpes : Vpe.t list;
   p_dst : int;
-  p_peers : (int, unit) Hashtbl.t;
+  p_peers : unit Int_table.t;
   p_done : unit -> unit;
   mutable p_timer : Engine.handle option;
 }
@@ -169,7 +170,7 @@ and migrate_op = {
   (* Peers whose [Ik_migrate_ack] is still missing, keyed by kernel
      id: acks arrive in arbitrary order and each must be matched
      (and deduplicated) in O(1), not by scanning a list. *)
-  pending_peers : (int, unit) Hashtbl.t;
+  pending_peers : unit Int_table.t;
   done_k : unit -> unit;
   (* Pending broadcast-retransmission tick, cancelled once the last
      ack is in. *)
@@ -213,6 +214,10 @@ type batch_state = { bq : P.ikc Queue.t; mutable bw_until : int64 }
    ride the next credit message that does go out. *)
 type owed = { mutable o_left : int; mutable o_acks : int list }
 
+(* Send-credit window toward one peer kernel (paper §5.1): credits
+   left, and the messages parked until one returns. *)
+type window = { mutable avail : int; stalled : (P.ikc * int) Queue.t }
+
 type t = {
   id : int;
   pe : int;
@@ -222,29 +227,35 @@ type t = {
   membership : Membership.t;
   cost : Cost.t;
   env : env;
-  registry : (int, t) Hashtbl.t;
+  (* Every kernel of the fleet by id, shared by all of them. Kernel ids
+     are fixed at boot, so this and the per-peer arrays below are dense
+     arrays indexed by kernel id: routing a message is a bounds check
+     and a read, with no hashing. *)
+  registry : t option array;
   kernel_count : int;
   mapdb : Mapdb.t;
   server : Server.t;
   threads : Thread_pool.t;
-  vpes : (int, Vpe.t) Hashtbl.t;
+  vpes : Vpe.t Int_table.t;
   directory : (string, Key.t) Hashtbl.t;  (* replicated service directory *)
   local_services : (string, service) Hashtbl.t;
   services_by_key : service Key.Table.t;
   pending_handlers : (string, service_handler) Hashtbl.t;
-  pending_ops : (int, pending) Hashtbl.t;
+  pending_ops : pending Int_table.t;
   (* DTU endpoints configured for a capability: invalidated when the
      capability is revoked (NoC-level isolation enforcement). *)
   activations : (int * int) Key.Table.t;
-  credits : (int, int ref * (P.ikc * int) Queue.t) Hashtbl.t;  (* per peer kernel *)
-  batch_queues : (int, batch_state) Hashtbl.t;  (* per peer kernel *)
-  batch_owed : (int, owed) Hashtbl.t;  (* per peer kernel *)
-  remote_ops : (int, remote_state) Hashtbl.t;
+  (* Per peer kernel; [None] until the peer is first contacted, so a
+     snapshot lists exactly the peers a run has talked to. *)
+  credits : window option array;
+  batch_queues : batch_state option array;
+  batch_owed : owed option array;
+  remote_ops : remote_state Int_table.t;
   (* Requests awaiting a reply, retransmitted on timeout. *)
-  retry_msgs : (int, retry_state) Hashtbl.t;
+  retry_msgs : retry_state Int_table.t;
   (* Completed delegate handshakes: op -> (dst, ack), kept so a
      redelivered reply can trigger an ack resend if the ack was lost. *)
-  completed_acks : (int, int * P.ikc) Hashtbl.t;
+  completed_acks : (int * P.ikc) Int_table.t;
   (* FIFO of (expiry, entry) for the two idempotency caches above;
      expiries are monotone because entries are pushed at event time. *)
   evictions : (int64 * evict_key) Queue.t;
@@ -254,11 +265,11 @@ type t = {
   mutable next_op : int;
   (* Recycled per-operation scratch (host-side, never snapshotted):
      marked/cont-root sets for revoke ops and destination-grouping
-     tables for message waves. [Hashtbl.reset] on release restores the
-     initial bucket count, so a recycled table iterates exactly like a
-     fresh one — recycling cannot perturb message order. *)
+     tables for message waves. [reset] on release restores the initial
+     bucket count, so a recycled table iterates exactly like a fresh
+     one — recycling cannot perturb message order. *)
   keyset_pool : unit Key.Table.t Pool.t;
-  dstmap_pool : (int, Key.t list) Hashtbl.t Pool.t;
+  dstmap_pool : Key.t list Int_table.t Pool.t;
 }
 
 (* Retransmission backoff: the wait before attempt [i] doubles up to a
@@ -292,8 +303,8 @@ let retry_buckets = [| 0.; 1.; 2.; 3.; 5.; 10.; 20. |]
 (* Bucket bounds for the syscall-queue depth at the kernel PE. *)
 let queue_depth_buckets = [| 0.; 1.; 2.; 4.; 8.; 16.; 32.; 64. |]
 
-let create ?obs ?trace ~engine ~fabric ~grid ~id ~pe ~membership ~cost ~env ~registry ~kernel_count
-    () =
+let create ?obs ?trace ~engine ~fabric ~grid ~id ~pe ~membership ~cost ~env ~registry () =
+  let kernel_count = Array.length registry in
   let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
   let trace = match trace with Some b -> b | None -> Obs.Trace.create ~capacity:0 in
   let prefix = "kernel" ^ string_of_int id ^ "." in
@@ -345,19 +356,19 @@ let create ?obs ?trace ~engine ~fabric ~grid ~id ~pe ~membership ~cost ~env ~reg
       mapdb = Mapdb.create ();
       server = Server.create engine ~name:(Printf.sprintf "kernel%d" id);
       threads = Thread_pool.create ~vpes:0 ~kernels:kernel_count;
-      vpes = Hashtbl.create 32;
+      vpes = Int_table.create 32;
       directory = Hashtbl.create 16;
       local_services = Hashtbl.create 8;
       services_by_key = Key.Table.create 8;
       pending_handlers = Hashtbl.create 8;
-      pending_ops = Hashtbl.create 32;
+      pending_ops = Int_table.create 32;
       activations = Key.Table.create 16;
-      credits = Hashtbl.create 8;
-      batch_queues = Hashtbl.create 8;
-      batch_owed = Hashtbl.create 8;
-      remote_ops = Hashtbl.create 32;
-      retry_msgs = Hashtbl.create 16;
-      completed_acks = Hashtbl.create 16;
+      credits = Array.make kernel_count None;
+      batch_queues = Array.make kernel_count None;
+      batch_owed = Array.make kernel_count None;
+      remote_ops = Int_table.create 32;
+      retry_msgs = Int_table.create 16;
+      completed_acks = Int_table.create 16;
       evictions = Queue.create ();
       obs;
       trace;
@@ -368,10 +379,10 @@ let create ?obs ?trace ~engine ~fabric ~grid ~id ~pe ~membership ~cost ~env ~reg
           ~make:(fun () -> Key.Table.create 64)
           ~reset:Key.Table.reset ();
       dstmap_pool =
-        Pool.create ~prealloc:1 ~make:(fun () -> Hashtbl.create 8) ~reset:Hashtbl.reset ();
+        Pool.create ~prealloc:1 ~make:(fun () -> Int_table.create 8) ~reset:Int_table.reset ();
     }
   in
-  Hashtbl.add registry id t;
+  registry.(id) <- Some t;
   (* Gauges sample live kernel state at snapshot time. *)
   let gauge suffix f = Obs.Registry.gauge obs (name suffix) f in
   gauge "occupancy" (fun () ->
@@ -395,7 +406,7 @@ let queue_depth t = Server.queue_length t.server
 (* Sorted by VPE id so callers that pick candidates (the load
    balancer) never depend on hash-table iteration order. *)
 let local_vpes t =
-  Hashtbl.fold (fun _ v acc -> v :: acc) t.vpes []
+  Int_table.fold (fun _ v acc -> v :: acc) t.vpes []
   |> List.sort (fun (a : Vpe.t) (b : Vpe.t) -> Int.compare a.Vpe.id b.Vpe.id)
 
 let stats t : stats =
@@ -427,23 +438,33 @@ let stats t : stats =
 let obs t = t.obs
 
 let idempotency_cache_sizes t =
-  (Hashtbl.length t.remote_ops, Hashtbl.length t.completed_acks)
+  (Int_table.length t.remote_ops, Int_table.length t.completed_acks)
+
+(* [f peer x] for every contacted peer of a per-peer array, descending,
+   so consing builds a list sorted by peer id. *)
+let fold_peers f a acc =
+  let acc = ref acc in
+  for peer = Array.length a - 1 downto 0 do
+    match a.(peer) with Some x -> acc := f peer x !acc | None -> ()
+  done;
+  !acc
+
+(* [f peer x] for every contacted peer, ascending. *)
+let iter_peers f a = Array.iteri (fun peer -> function Some x -> f peer x | None -> ()) a
 
 (* Per-peer send-credit windows, sorted by peer id. The fuzz credit
    oracle asserts every window stays within [0, Cost.max_inflight]. *)
-let credit_windows t =
-  Hashtbl.fold (fun peer (credits, _) acc -> (peer, !credits) :: acc) t.credits []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+let credit_windows t = fold_peers (fun peer w acc -> (peer, w.avail) :: acc) t.credits []
 
 let cost t = t.cost
 
 let add_vpe t vpe =
-  if Hashtbl.mem t.vpes vpe.Vpe.id then invalid_arg "Kernel.add_vpe: VPE already registered";
-  Hashtbl.add t.vpes vpe.Vpe.id vpe;
+  if Int_table.mem t.vpes vpe.Vpe.id then invalid_arg "Kernel.add_vpe: VPE already registered";
+  Int_table.add t.vpes vpe.Vpe.id vpe;
   Thread_pool.add_vpe_thread t.threads
 
-let find_vpe t vid = Hashtbl.find_opt t.vpes vid
-let vpe_count t = Hashtbl.length t.vpes
+let find_vpe t vid = Int_table.find_opt t.vpes vid
+let vpe_count t = Int_table.length t.vpes
 
 let register_service_handler t ~name handler = Hashtbl.replace t.pending_handlers name handler
 
@@ -471,7 +492,7 @@ type snapshot = {
   s_vpes : int list;  (* managed VPE ids, sorted *)
 }
 
-let sorted_keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort Int.compare
+let sorted_keys tbl = Int_table.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort Int.compare
 
 let snapshot t =
   {
@@ -487,16 +508,12 @@ let snapshot t =
     s_completed_acks = sorted_keys t.completed_acks;
     s_evictions = Queue.length t.evictions;
     s_credits =
-      Hashtbl.fold (fun peer (c, q) acc -> (peer, !c, Queue.length q) :: acc) t.credits []
-      |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b);
-    s_batch =
-      Hashtbl.fold (fun peer bs acc -> (peer, Queue.length bs.bq) :: acc) t.batch_queues []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
+      fold_peers (fun peer w acc -> (peer, w.avail, Queue.length w.stalled) :: acc) t.credits [];
+    s_batch = fold_peers (fun peer bs acc -> (peer, Queue.length bs.bq) :: acc) t.batch_queues [];
     s_batch_owed =
-      Hashtbl.fold
+      fold_peers
         (fun peer o acc -> (peer, o.o_left, List.sort Int.compare o.o_acks) :: acc)
-        t.batch_owed []
-      |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b);
+        t.batch_owed [];
     s_vpes = sorted_keys t.vpes;
   }
 
@@ -523,15 +540,15 @@ let restore t s =
   t.next_op <- s.s_next_op;
   List.iter
     (fun (peer, credits, queued) ->
-      match Hashtbl.find_opt t.credits peer with
-      | Some (c, q) ->
-        if Queue.length q <> queued then
+      match t.credits.(peer) with
+      | Some w ->
+        if Queue.length w.stalled <> queued then
           invalid_arg "Kernel.restore: queued credit-stalled sends do not match the snapshot";
-        c := credits
+        w.avail <- credits
       | None ->
         if queued <> 0 then
           invalid_arg "Kernel.restore: queued credit-stalled sends do not match the snapshot";
-        Hashtbl.replace t.credits peer (ref credits, Queue.create ()))
+        t.credits.(peer) <- Some { avail = credits; stalled = Queue.create () })
     s.s_credits;
   (* Batch queues hold closures' worth of in-flight protocol state only
      via plain messages awaiting a flush tick; like credit queues they
@@ -539,9 +556,7 @@ let restore t s =
   List.iter
     (fun (peer, queued) ->
       let live =
-        match Hashtbl.find_opt t.batch_queues peer with
-        | Some bs -> Queue.length bs.bq
-        | None -> 0
+        match t.batch_queues.(peer) with Some bs -> Queue.length bs.bq | None -> 0
       in
       if live <> queued then
         invalid_arg "Kernel.restore: queued batched sends do not match the snapshot")
@@ -549,11 +564,11 @@ let restore t s =
   (* Owed-credit state is plain data and restores fully. *)
   List.iter
     (fun (peer, left, acks) ->
-      match Hashtbl.find_opt t.batch_owed peer with
+      match t.batch_owed.(peer) with
       | Some o ->
         o.o_left <- left;
         o.o_acks <- acks
-      | None -> Hashtbl.replace t.batch_owed peer { o_left = left; o_acks = acks })
+      | None -> t.batch_owed.(peer) <- Some { o_left = left; o_acks = acks })
     s.s_batch_owed
 
 let lookup_service t name = Hashtbl.find_opt t.directory name
@@ -569,6 +584,19 @@ let fresh_op t =
   (t.id * 0x1000000) + n
 
 let owner_kernel t key = Membership.kernel_of_key t.membership key
+
+(* The kernel with id [k]; [None] for an id outside the fleet. *)
+let find_kernel t k = if k >= 0 && k < Array.length t.registry then t.registry.(k) else None
+let is_kernel t k = match find_kernel t k with Some _ -> true | None -> false
+
+(* Every other kernel of the fleet, in kernel-id order: broadcasts
+   visit their peers in this order. *)
+let peer_ids t =
+  let acc = ref [] in
+  for k = Array.length t.registry - 1 downto 0 do
+    if k <> t.id && is_kernel t k then acc := k :: !acc
+  done;
+  !acc
 
 let is_local_key t key = owner_kernel t key = t.id
 
@@ -632,10 +660,10 @@ let evict_expired t =
       | Ev_remote op -> (
         (* Only a finished op may be dropped: an in-progress entry is
            still the dedup guard for its request. *)
-        match Hashtbl.find_opt t.remote_ops op with
-        | Some (R_done _) -> Hashtbl.remove t.remote_ops op
-        | Some R_in_progress | None -> ())
-      | Ev_ack op -> Hashtbl.remove t.completed_acks op
+        match Int_table.find t.remote_ops op with
+        | R_done _ -> Int_table.remove t.remote_ops op
+        | R_in_progress | (exception Not_found) -> ())
+      | Ev_ack op -> Int_table.remove t.completed_acks op
     end
   done
 
@@ -661,16 +689,17 @@ let finish_syscall t vpe r =
 (* ------------------------------------------------------------------ *)
 (* Inter-kernel transport with in-flight limiting (paper §4.1)         *)
 
+(* [peer] must be a kernel of the fleet ([ikc_send] checks). *)
 let credit_state t peer =
-  match Hashtbl.find_opt t.credits peer with
-  | Some s -> s
+  match t.credits.(peer) with
+  | Some w -> w
   | None ->
-    let s = (ref Cost.max_inflight, Queue.create ()) in
-    Hashtbl.add t.credits peer s;
-    s
+    let w = { avail = Cost.max_inflight; stalled = Queue.create () } in
+    t.credits.(peer) <- Some w;
+    w
 
 let rec transmit_ikc t ~dst (ikc : P.ikc) =
-  match Hashtbl.find_opt t.registry dst with
+  match find_kernel t dst with
   | None -> Log.err (fun m -> m "kernel %d: no peer kernel %d" t.id dst)
   | Some peer ->
     Obs.Registry.incr t.ctr.ikc_sent;
@@ -694,15 +723,15 @@ let rec transmit_ikc t ~dst (ikc : P.ikc) =
 (* Credit-gated dispatch: consume one in-flight credit or park the
    message until a credit returns (paper §5.1, four per peer pair). *)
 and dispatch_ikc t ~dst ikc =
-  let credits, queue = credit_state t dst in
-  if !credits > 0 then begin
-    decr credits;
+  let w = credit_state t dst in
+  if w.avail > 0 then begin
+    w.avail <- w.avail - 1;
     transmit_ikc t ~dst ikc
   end
   else begin
     Obs.Registry.incr t.ctr.credit_stalls;
     trace_event t ~kind:"credit_stall" ~op:(ikc_op ikc) ~src:t.id ~dst ~detail:(P.ikc_name ikc);
-    Queue.push (ikc, dst) queue
+    Queue.push (ikc, dst) w.stalled
   end
 
 (* DTU slot-window coalescing (batching mode). The leader of a wave —
@@ -713,15 +742,20 @@ and dispatch_ikc t ~dst ikc =
    common case on a revocation chain) sees zero added latency. *)
 and ikc_send t ~dst ikc =
   if dst = t.id then invalid_arg "Kernel.ikc_send: message to self";
-  if Cost.batching (c t) then enqueue_batch t ~dst ikc else dispatch_ikc t ~dst ikc
+  if not (is_kernel t dst) then
+    (* No kernel behind [dst]: no credit window or batch queue either;
+       [transmit_ikc] logs and drops the message. *)
+    transmit_ikc t ~dst ikc
+  else if Cost.batching (c t) then enqueue_batch t ~dst ikc
+  else dispatch_ikc t ~dst ikc
 
 and enqueue_batch t ~dst ikc =
   let bs =
-    match Hashtbl.find_opt t.batch_queues dst with
+    match t.batch_queues.(dst) with
     | Some bs -> bs
     | None ->
       let bs = { bq = Queue.create (); bw_until = Int64.min_int } in
-      Hashtbl.add t.batch_queues dst bs;
+      t.batch_queues.(dst) <- Some bs;
       bs
   in
   if Int64.compare (Engine.now t.engine) bs.bw_until < 0 then Queue.push ikc bs.bq
@@ -750,17 +784,21 @@ and flush_batch t ~dst bs =
     open_batch_window t ~dst bs
 
 and receive_credit t ~peer =
-  let credits, queue = credit_state t peer in
-  if Queue.is_empty queue then begin
-    (* Clamp at the §5.1 bound: a retransmission refund racing the
-       original message's credit return (or a fault-injected duplicate
-       returning credit twice) must not widen the window permanently. *)
-    if !credits >= Cost.max_inflight then Obs.Registry.incr t.ctr.credit_overrefund
-    else incr credits
-  end
-  else begin
-    let ikc, dst = Queue.pop queue in
-    transmit_ikc t ~dst ikc
+  (* A retransmission toward an id outside the fleet refunds nothing:
+     its sends were dropped before taking a credit. *)
+  if is_kernel t peer then begin
+    let w = credit_state t peer in
+    if Queue.is_empty w.stalled then begin
+      (* Clamp at the §5.1 bound: a retransmission refund racing the
+         original message's credit return (or a fault-injected duplicate
+         returning credit twice) must not widen the window permanently. *)
+      if w.avail >= Cost.max_inflight then Obs.Registry.incr t.ctr.credit_overrefund
+      else w.avail <- w.avail + 1
+    end
+    else begin
+      let ikc, dst = Queue.pop w.stalled in
+      transmit_ikc t ~dst ikc
+    end
   end
 
 (* The DTU frees the message slot as soon as the kernel has fetched the
@@ -773,16 +811,16 @@ and receive_credit t ~peer =
    per frame is absorbed ([owed]); their acks are stashed and ride the
    next credit message to the same peer. *)
 and return_credit ?ack_op t ~src_kernel =
-  match Hashtbl.find_opt t.registry src_kernel with
+  match find_kernel t src_kernel with
   | None -> ()
   | Some peer -> (
-    match Hashtbl.find_opt t.batch_owed src_kernel with
+    match t.batch_owed.(src_kernel) with
     | Some o when o.o_left > 0 ->
       o.o_left <- o.o_left - 1;
       (match ack_op with Some op -> o.o_acks <- op :: o.o_acks | None -> ())
-    | _ ->
+    | owed ->
       let acks =
-        match Hashtbl.find_opt t.batch_owed src_kernel with
+        match owed with
         | Some o ->
           let stashed = o.o_acks in
           o.o_acks <- [];
@@ -805,18 +843,18 @@ and return_credit ?ack_op t ~src_kernel =
 
 and register_retry t op ~dst msg =
   let st = { rdst = dst; rmsg = msg; rstart = Engine.now t.engine; rattempts = 0; rtimer = None } in
-  Hashtbl.replace t.retry_msgs op st;
+  Int_table.replace t.retry_msgs op st;
   if (c t).Cost.retry_max > 0 then begin
     let rec tick () =
-      match Hashtbl.find_opt t.retry_msgs op with
-      | None -> ()
-      | Some st ->
+      match Int_table.find t.retry_msgs op with
+      | exception Not_found -> ()
+      | st ->
         st.rtimer <- None;
         if st.rattempts >= (c t).Cost.retry_max then begin
           (* Budget exhausted: stop retransmitting and fail the pending
              operation explicitly instead of leaving the syscall (and
              its kernel thread) parked forever. *)
-          Hashtbl.remove t.retry_msgs op;
+          Int_table.remove t.retry_msgs op;
           Obs.Registry.incr t.ctr.retry_exhausted;
           trace_event t ~kind:"ikc_timeout" ~op ~src:t.id ~dst:st.rdst
             ~detail:(P.ikc_name st.rmsg);
@@ -837,10 +875,10 @@ and register_retry t op ~dst msg =
   end
 
 and clear_retry t op =
-  match Hashtbl.find_opt t.retry_msgs op with
-  | None -> ()
-  | Some st ->
-    Hashtbl.remove t.retry_msgs op;
+  match Int_table.find t.retry_msgs op with
+  | exception Not_found -> ()
+  | st ->
+    Int_table.remove t.retry_msgs op;
     Option.iter (Engine.cancel t.engine) st.rtimer;
     let kind = P.ikc_tag st.rmsg in
     Obs.Registry.observe_in t.ctr.ikc_latency kind
@@ -854,26 +892,26 @@ and clear_retry t op =
    releases its outstanding count so the operation can complete. Late
    replies arriving after this hit the regular duplicate paths. *)
 and fail_exhausted_op t op =
-  match Hashtbl.find_opt t.pending_ops op with
+  match Int_table.find_opt t.pending_ops op with
   | None -> ()
   | Some (P_obtain { client }) ->
-    Hashtbl.remove t.pending_ops op;
+    Int_table.remove t.pending_ops op;
     finish_syscall t client (P.R_err P.E_timeout)
   | Some (P_delegate_src { client; _ }) ->
-    Hashtbl.remove t.pending_ops op;
+    Int_table.remove t.pending_ops op;
     finish_syscall t client (P.R_err P.E_timeout)
   | Some (P_open_sess { client; _ }) ->
-    Hashtbl.remove t.pending_ops op;
+    Int_table.remove t.pending_ops op;
     finish_syscall t client (P.R_err P.E_timeout)
   | Some (P_revoke_msg { rop }) ->
-    Hashtbl.remove t.pending_ops op;
+    Int_table.remove t.pending_ops op;
     revoke_release t rop
   | Some (P_delegate_dst { child_key; src_kernel; recv_vpe = _ }) ->
     (* The delegate ack never came: abort the half-open handshake. The
        provisional capability was never inserted into the receiver's
        capability space, so dropping its record suffices; best-effort
        unlink at the source. *)
-    Hashtbl.remove t.pending_ops op;
+    Int_table.remove t.pending_ops op;
     (match Mapdb.find t.mapdb child_key with
     | Some cap ->
       Mapdb.remove t.mapdb child_key;
@@ -891,7 +929,7 @@ and fail_exhausted_op t op =
     (* The destination never confirmed the install: the records are in
        limbo. Surface it loudly and release the caller — the audit layer
        will flag the leaked records. *)
-    Hashtbl.remove t.pending_ops op;
+    Int_table.remove t.pending_ops op;
     Log.err (fun m ->
         m "kernel %d: migrate_caps for VPE %d exhausted retries; records lost" t.id
           mc_vpe.Vpe.id);
@@ -899,7 +937,7 @@ and fail_exhausted_op t op =
   | Some (P_part_caps { pc_done; _ }) ->
     (* Same limbo as an exhausted migrate_caps, for a whole partition
        wave. *)
-    Hashtbl.remove t.pending_ops op;
+    Int_table.remove t.pending_ops op;
     Log.err (fun m -> m "kernel %d: part_records exhausted retries; records lost" t.id);
     pc_done ()
   | Some (P_revoke _ | P_migrate _ | P_fleet _ | P_part _) ->
@@ -909,15 +947,15 @@ and fail_exhausted_op t op =
 (* Returns [true] when the request was seen before; credit is returned
    either way, and a finished op re-sends its cached reply. *)
 and remote_dup t ~src_kernel ~op =
-  match Hashtbl.find_opt t.remote_ops op with
-  | None ->
-    Hashtbl.replace t.remote_ops op R_in_progress;
+  match Int_table.find t.remote_ops op with
+  | exception Not_found ->
+    Int_table.replace t.remote_ops op R_in_progress;
     false
-  | Some R_in_progress ->
+  | R_in_progress ->
     Obs.Registry.incr t.ctr.dup_ikc;
     return_credit t ~src_kernel;
     true
-  | Some (R_done { dst; msg }) ->
+  | R_done { dst; msg } ->
     Obs.Registry.incr t.ctr.dup_ikc;
     return_credit t ~src_kernel;
     (* The requester retransmitted, so the cached reply may have been
@@ -936,7 +974,7 @@ and remote_dup t ~src_kernel ~op =
 (* Send the final reply for an op-tagged request and cache it for
    redeliveries. *)
 and finish_remote t ~op ~dst msg =
-  Hashtbl.replace t.remote_ops op (R_done { dst; msg });
+  Int_table.replace t.remote_ops op (R_done { dst; msg });
   Queue.push (Int64.add (Engine.now t.engine) (retention t), Ev_remote op) t.evictions;
   ikc_send t ~dst msg
 
@@ -1057,7 +1095,7 @@ and defer_revoke_child t (op : revoke_op) ?root_unlink child_key =
               List.iter
                 (fun (dst, keys) ->
                   let msg_op = fresh_op t in
-                  Hashtbl.add t.pending_ops msg_op (P_revoke_msg { rop = op });
+                  Int_table.add t.pending_ops msg_op (P_revoke_msg { rop = op });
                   let msg = P.Ik_revoke_req { op = msg_op; src_kernel = t.id; keys } in
                   ikc_send t ~dst msg;
                   register_retry t msg_op ~dst msg)
@@ -1073,7 +1111,7 @@ and defer_revoke_child t (op : revoke_op) ?root_unlink child_key =
           ( (c t).Cost.revoke_send,
             fun () ->
               let msg_op = fresh_op t in
-              Hashtbl.add t.pending_ops msg_op (P_revoke_msg { rop = op });
+              Int_table.add t.pending_ops msg_op (P_revoke_msg { rop = op });
               let msg = P.Ik_revoke_req { op = msg_op; src_kernel = t.id; keys = [ child_key ] } in
               ikc_send t ~dst:owner msg;
               register_retry t msg_op ~dst:owner msg ))
@@ -1162,7 +1200,7 @@ and complete_revoke t (op : revoke_op) =
               ikc_send t ~dst msg;
               register_retry t unlink_op ~dst msg)
             !remote_unlinks;
-          Hashtbl.remove t.pending_ops op.rop_id;
+          Int_table.remove t.pending_ops op.rop_id;
           let waiters = op.on_complete in
           op.on_complete <- [];
           List.iter (fun k -> k ()) waiters;
@@ -1212,10 +1250,10 @@ and absorb_continuation t (op : revoke_op) keys =
         Pool.with_ t.dstmap_pool (fun by_dst ->
             List.iter
               (fun (dst, key) ->
-                let keys = try Hashtbl.find by_dst dst with Not_found -> [] in
-                Hashtbl.replace by_dst dst (key :: keys))
+                let keys = try Int_table.find by_dst dst with Not_found -> [] in
+                Int_table.replace by_dst dst (key :: keys))
               to_send;
-            Hashtbl.fold (fun dst keys acc -> (dst, keys) :: acc) by_dst [])
+            Int_table.fold (fun dst keys acc -> (dst, keys) :: acc) by_dst [])
       in
       op.outstanding <- op.outstanding + List.length messages;
       let cost =
@@ -1233,7 +1271,7 @@ and absorb_continuation t (op : revoke_op) keys =
           List.iter
             (fun (dst, keys) ->
               let msg_op = fresh_op t in
-              Hashtbl.add t.pending_ops msg_op (P_revoke_msg { rop = op });
+              Int_table.add t.pending_ops msg_op (P_revoke_msg { rop = op });
               let msg = P.Ik_revoke_req { op = msg_op; src_kernel = t.id; keys } in
               ikc_send t ~dst msg;
               register_retry t msg_op ~dst msg)
@@ -1259,7 +1297,7 @@ and start_revoke t ~origin ~roots ~own ~base_cost =
       on_complete = [];
     }
   in
-  Hashtbl.add t.pending_ops op.rop_id (P_revoke op);
+  Int_table.add t.pending_ops op.rop_id (P_revoke op);
   job t (fun () ->
       let to_send = ref [] in
       List.iter
@@ -1309,23 +1347,21 @@ and start_revoke t ~origin ~roots ~own ~base_cost =
       let messages =
         if Cost.broadcast (c t) && initiator then
           Pool.with_ t.dstmap_pool (fun by_dst ->
-              Hashtbl.iter
-                (fun kid _ -> if kid <> t.id then Hashtbl.replace by_dst kid [])
-                t.registry;
+              List.iter (fun kid -> Int_table.replace by_dst kid []) (peer_ids t);
               List.iter
                 (fun (dst, key) ->
-                  let keys = try Hashtbl.find by_dst dst with Not_found -> [] in
-                  Hashtbl.replace by_dst dst (key :: keys))
+                  let keys = try Int_table.find by_dst dst with Not_found -> [] in
+                  Int_table.replace by_dst dst (key :: keys))
                 to_send;
-              Hashtbl.fold (fun dst keys acc -> (dst, keys) :: acc) by_dst [])
+              Int_table.fold (fun dst keys acc -> (dst, keys) :: acc) by_dst [])
         else if Cost.batching (c t) then
           Pool.with_ t.dstmap_pool (fun by_dst ->
               List.iter
                 (fun (dst, key) ->
-                  let keys = try Hashtbl.find by_dst dst with Not_found -> [] in
-                  Hashtbl.replace by_dst dst (key :: keys))
+                  let keys = try Int_table.find by_dst dst with Not_found -> [] in
+                  Int_table.replace by_dst dst (key :: keys))
                 to_send;
-              Hashtbl.fold (fun dst keys acc -> (dst, keys) :: acc) by_dst [])
+              Int_table.fold (fun dst keys acc -> (dst, keys) :: acc) by_dst [])
         else List.rev_map (fun (dst, key) -> (dst, [ key ])) to_send
       in
       op.outstanding <- op.outstanding + List.length messages;
@@ -1349,7 +1385,7 @@ and start_revoke t ~origin ~roots ~own ~base_cost =
                  operation, and a redelivered reply finds the message op
                  already retired instead of double-decrementing. *)
               let msg_op = fresh_op t in
-              Hashtbl.add t.pending_ops msg_op (P_revoke_msg { rop = op });
+              Int_table.add t.pending_ops msg_op (P_revoke_msg { rop = op });
               let msg = P.Ik_revoke_req { op = msg_op; src_kernel = t.id; keys } in
               ikc_send t ~dst msg;
               register_retry t msg_op ~dst msg)
@@ -1388,7 +1424,7 @@ and local_obtain t ~(client : Vpe.t) ~accept ~(parent_of_grant : unit -> (Cap.t 
 and remote_obtain t ~(client : Vpe.t) ~dst_kernel ~donor =
   let op = fresh_op t in
   let obj_reserved = Mapdb.fresh_obj t.mapdb in
-  Hashtbl.add t.pending_ops op (P_obtain { client });
+  Int_table.add t.pending_ops op (P_obtain { client });
   Obs.Registry.incr t.ctr.exchanges_spanning;
   let msg =
     P.Ik_obtain_req
@@ -1446,17 +1482,15 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
                 (* Announce to every other kernel (IKC group 1/2),
                    op-tagged per peer and retried until the delivery
                    ack (piggybacked on the credit return) comes back. *)
-                Hashtbl.iter
-                  (fun kid _ ->
-                    if kid <> t.id then begin
-                      let ann_op = fresh_op t in
-                      let msg =
-                        P.Ik_srv_announce { op = ann_op; name; srv_key = key; kernel = t.id }
-                      in
-                      ikc_send t ~dst:kid msg;
-                      register_retry t ann_op ~dst:kid msg
-                    end)
-                  t.registry;
+                List.iter
+                  (fun kid ->
+                    let ann_op = fresh_op t in
+                    let msg =
+                      P.Ik_srv_announce { op = ann_op; name; srv_key = key; kernel = t.id }
+                    in
+                    ikc_send t ~dst:kid msg;
+                    register_retry t ann_op ~dst:kid msg)
+                  (peer_ids t);
                 finish_syscall t vpe (P.R_sel sel) )
           end)
   | P.Sys_create_rgate { ep; slots } ->
@@ -1551,7 +1585,7 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
             (* Cross-group session (Figure 3, sequence B). *)
             let sess_key = mint_key t ~creator_pe:vpe.Vpe.pe ~creator_vpe:vpe.Vpe.id ~kind:Key.Sess_obj in
             let op = fresh_op t in
-            Hashtbl.add t.pending_ops op (P_open_sess { client = vpe; sess_key; srv_key; srv_kernel });
+            Int_table.add t.pending_ops op (P_open_sess { client = vpe; sess_key; srv_key; srv_kernel });
             ( Int64.add cost (c t).Cost.session_open,
               fun () ->
                 let msg =
@@ -1643,7 +1677,7 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
                 fun () -> local_delegate t ~client:vpe ~src_key:src_cap.Cap.key ~recv )
             else begin
               let op = fresh_op t in
-              Hashtbl.add t.pending_ops op
+              Int_table.add t.pending_ops op
                 (P_delegate_src { client = vpe; src_key = src_cap.Cap.key; dst_kernel = recv.Vpe.kernel });
               Obs.Registry.incr t.ctr.exchanges_spanning;
               ( Int64.add (Int64.add dispatch (c t).Cost.exchange_forward) (Cost.ddl (c t) 1),
@@ -1690,7 +1724,7 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
                         | P.Srs_session _ | P.Srs_grant _ -> finish_syscall t vpe (P.R_err P.E_invalid)) )
               else begin
                 let op = fresh_op t in
-                Hashtbl.add t.pending_ops op
+                Int_table.add t.pending_ops op
                   (P_delegate_src { client = vpe; src_key = src_cap.Cap.key; dst_kernel = srv_kernel });
                 Obs.Registry.incr t.ctr.exchanges_spanning;
                 ( Int64.add (Int64.add dispatch (c t).Cost.exchange_forward) (Cost.ddl (c t) 1),
@@ -1725,7 +1759,7 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
           | Cap.Marked { revoke_op } -> (
             (* Already being revoked: wait for that operation, then
                acknowledge (no incomplete acks, no duplicate work). *)
-            match Hashtbl.find_opt t.pending_ops revoke_op with
+            match Int_table.find_opt t.pending_ops revoke_op with
             | Some (P_revoke other) ->
               ( dispatch,
                 fun () ->
@@ -1892,20 +1926,19 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
         ( (c t).Cost.revoke_reply,
           fun () ->
             return_credit t ~src_kernel;
-            (match Hashtbl.find_opt t.pending_ops op with
-            | Some (P_revoke_msg { rop }) ->
-              Hashtbl.remove t.pending_ops op;
+            (match Int_table.find t.pending_ops op with
+            | P_revoke_msg { rop } ->
+              Int_table.remove t.pending_ops op;
               clear_retry t op;
               (* Absorb handed-back subtree roots before releasing the
                  outstanding unit, so the operation cannot complete
                  with the continuation still pending. *)
               if cont <> [] then absorb_continuation t rop cont;
               revoke_release t rop
-            | Some (P_revoke rop) -> revoke_release t rop
-            | Some
-                ( P_obtain _ | P_delegate_src _ | P_delegate_dst _ | P_open_sess _ | P_migrate _
-                | P_migrate_caps _ | P_fleet _ | P_part _ | P_part_caps _ )
-            | None ->
+            | P_revoke rop -> revoke_release t rop
+            | P_obtain _ | P_delegate_src _ | P_delegate_dst _ | P_open_sess _ | P_migrate _
+            | P_migrate_caps _ | P_fleet _ | P_part _ | P_part_caps _
+            | (exception Not_found) ->
               (* Redelivered reply for a message op already retired. *)
               Obs.Registry.incr t.ctr.dup_ikc) ))
   | P.Ik_remove_child { op; parent_key; child_key } ->
@@ -1946,14 +1979,14 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
         ( 100L,
           fun () ->
             return_credit t ~src_kernel;
-            (match Hashtbl.find_opt t.pending_ops op with
+            (match Int_table.find_opt t.pending_ops op with
             | Some (P_migrate m) ->
               (* Acks are deduplicated by sender: a redelivered ack from
                  an already-counted peer must not skip a pending one. *)
-              if Hashtbl.mem m.pending_peers src_kernel then begin
-                Hashtbl.remove m.pending_peers src_kernel;
-                if Hashtbl.length m.pending_peers = 0 then begin
-                  Hashtbl.remove t.pending_ops op;
+              if Int_table.mem m.pending_peers src_kernel then begin
+                Int_table.remove m.pending_peers src_kernel;
+                if Int_table.length m.pending_peers = 0 then begin
+                  Int_table.remove t.pending_ops op;
                   Option.iter (Engine.cancel t.engine) m.mtimer;
                   m.mtimer <- None;
                   migrate_transfer t ~vpe:m.m_vpe ~dst:m.m_dst ~done_k:m.done_k
@@ -1962,16 +1995,16 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
               else Obs.Registry.incr t.ctr.dup_ikc
             | Some (P_migrate_caps { mc_done; _ }) ->
               (* The destination installed the transferred records. *)
-              Hashtbl.remove t.pending_ops op;
+              Int_table.remove t.pending_ops op;
               clear_retry t op;
               mc_done ()
             | Some (P_fleet f) ->
               (* Lifecycle broadcast: same ack-counting discipline as a
                  migrate-update broadcast. *)
-              if Hashtbl.mem f.f_peers src_kernel then begin
-                Hashtbl.remove f.f_peers src_kernel;
-                if Hashtbl.length f.f_peers = 0 then begin
-                  Hashtbl.remove t.pending_ops op;
+              if Int_table.mem f.f_peers src_kernel then begin
+                Int_table.remove f.f_peers src_kernel;
+                if Int_table.length f.f_peers = 0 then begin
+                  Int_table.remove t.pending_ops op;
                   Option.iter (Engine.cancel t.engine) f.f_timer;
                   f.f_timer <- None;
                   f.f_done ()
@@ -1981,10 +2014,10 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
             | Some (P_part p) ->
               (* Bulk partition-update broadcast: once every replica has
                  flipped (or marked mid-handoff), ship the records. *)
-              if Hashtbl.mem p.p_peers src_kernel then begin
-                Hashtbl.remove p.p_peers src_kernel;
-                if Hashtbl.length p.p_peers = 0 then begin
-                  Hashtbl.remove t.pending_ops op;
+              if Int_table.mem p.p_peers src_kernel then begin
+                Int_table.remove p.p_peers src_kernel;
+                if Int_table.length p.p_peers = 0 then begin
+                  Int_table.remove t.pending_ops op;
                   Option.iter (Engine.cancel t.engine) p.p_timer;
                   p.p_timer <- None;
                   part_transfer t ~pes:p.p_pes ~vpes:p.p_vpes ~dst:p.p_dst ~done_k:p.p_done
@@ -1993,7 +2026,7 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
               else Obs.Registry.incr t.ctr.dup_ikc
             | Some (P_part_caps { pc_done; _ }) ->
               (* The destination installed the partition wave. *)
-              Hashtbl.remove t.pending_ops op;
+              Int_table.remove t.pending_ops op;
               clear_retry t op;
               pc_done ()
             | Some
@@ -2026,7 +2059,7 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
               (* The VPE is ours now. *)
               (match t.env.locate_vpe vid with
               | Some vpe ->
-                Hashtbl.replace t.vpes vid vpe;
+                Int_table.replace t.vpes vid vpe;
                 Thread_pool.add_vpe_thread t.threads;
                 (* Only now can lookups route to this kernel: clear the
                    mid-handoff mark set when the membership update arrived.
@@ -2122,7 +2155,7 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
                 (fun vid ->
                   match t.env.locate_vpe vid with
                   | Some vpe ->
-                    Hashtbl.replace t.vpes vid vpe;
+                    Int_table.replace t.vpes vid vpe;
                     Thread_pool.add_vpe_thread t.threads;
                     vpe.Vpe.frozen <- false
                   | None -> Log.err (fun m -> m "kernel %d: handed-off VPE %d unknown" t.id vid))
@@ -2150,15 +2183,19 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
        returns one: record the surplus so [return_credit] absorbs all
        but one return per frame (their piggybacked acks ride the credit
        message that does go out). *)
-    let o =
-      match Hashtbl.find_opt t.batch_owed src_kernel with
-      | Some o -> o
-      | None ->
-        let o = { o_left = 0; o_acks = [] } in
-        Hashtbl.add t.batch_owed src_kernel o;
-        o
-    in
-    o.o_left <- o.o_left + (List.length msgs - 1);
+    (* (A frame from an id outside the fleet owes nothing: credit
+       returns toward it are dropped anyway.) *)
+    if is_kernel t src_kernel then begin
+      let o =
+        match t.batch_owed.(src_kernel) with
+        | Some o -> o
+        | None ->
+          let o = { o_left = 0; o_acks = [] } in
+          t.batch_owed.(src_kernel) <- Some o;
+          o
+      in
+      o.o_left <- o.o_left + (List.length msgs - 1)
+    end;
     List.iter (fun m -> deliver_ikc t ~src_kernel m) msgs
 
 (* Revoke requests return their credit right after the (cost-bearing)
@@ -2208,9 +2245,9 @@ and handle_obtain_req t ~origin ~op ~obj_reserved ~client_pe ~client_vpe ~donor 
         | P.Srs_session _ | P.Srs_accept -> reply (Error P.E_invalid))
 
 and handle_obtain_reply t ~op ~result =
-  match Hashtbl.find_opt t.pending_ops op with
-  | Some (P_obtain { client }) -> (
-    Hashtbl.remove t.pending_ops op;
+  match Int_table.find t.pending_ops op with
+  | P_obtain { client } -> (
+    Int_table.remove t.pending_ops op;
     clear_retry t op;
     match result with
     | Error e -> finish_syscall t client (P.R_err e)
@@ -2232,10 +2269,9 @@ and handle_obtain_reply t ~op ~result =
         let sel = Capspace.insert client.Vpe.capspace child_key in
         finish_syscall t client (P.R_sel sel)
       end)
-  | Some
-      ( P_delegate_src _ | P_delegate_dst _ | P_open_sess _ | P_revoke _ | P_revoke_msg _
-      | P_migrate _ | P_migrate_caps _ | P_fleet _ | P_part _ | P_part_caps _ )
-  | None ->
+  | P_delegate_src _ | P_delegate_dst _ | P_open_sess _ | P_revoke _ | P_revoke_msg _
+    | P_migrate _ | P_migrate_caps _ | P_fleet _ | P_part _ | P_part_caps _
+  | (exception Not_found) ->
     (* Redelivered reply: the obtain already completed. *)
     Obs.Registry.incr t.ctr.dup_ikc;
     Log.debug (fun m -> m "kernel %d: duplicate obtain reply for op %d" t.id op)
@@ -2264,7 +2300,7 @@ and handle_delegate_req t ~origin ~op ~parent_key ~kind ~recv =
              space: that happens on the ack. *)
           let cap = Cap.make ~key:child_key ~kind ~owner_vpe:recv_v.Vpe.id ~parent:parent_key () in
           Mapdb.insert t.mapdb cap;
-          Hashtbl.add t.pending_ops op
+          Int_table.add t.pending_ops op
             (P_delegate_dst { child_key; recv_vpe = recv_v.Vpe.id; src_kernel = origin });
           Obs.Registry.incr t.ctr.exchanges_spanning;
           (Cost.ddl (c t) 2, fun () -> reply (Ok child_key))
@@ -2297,15 +2333,15 @@ and handle_delegate_req t ~origin ~op ~parent_key ~kind ~recv =
         | P.Srs_session _ | P.Srs_grant _ -> Thread_pool.release t.threads; reply (Error P.E_invalid))
 
 and handle_delegate_reply t ~op ~result =
-  match Hashtbl.find_opt t.pending_ops op with
-  | Some (P_delegate_src { client; src_key; dst_kernel }) -> (
-    Hashtbl.remove t.pending_ops op;
+  match Int_table.find t.pending_ops op with
+  | P_delegate_src { client; src_key; dst_kernel } -> (
+    Int_table.remove t.pending_ops op;
     clear_retry t op;
     let send_ack commit child_key =
       let ack = P.Ik_delegate_ack { op; child_key; commit } in
       (* Cache the ack: a redelivered reply means the destination is
          still waiting, so the ack may have been lost and is re-sent. *)
-      Hashtbl.replace t.completed_acks op (dst_kernel, ack);
+      Int_table.replace t.completed_acks op (dst_kernel, ack);
       Queue.push (Int64.add (Engine.now t.engine) (retention t), Ev_ack op) t.evictions;
       ikc_send t ~dst:dst_kernel ack
     in
@@ -2323,13 +2359,12 @@ and handle_delegate_reply t ~op ~result =
            access (paper §4.3.2, "Invalid"). *)
         send_ack false child_key;
         finish_syscall t client (P.R_err P.E_in_revocation)))
-  | Some
-      ( P_obtain _ | P_delegate_dst _ | P_open_sess _ | P_revoke _ | P_revoke_msg _ | P_migrate _
-      | P_migrate_caps _ | P_fleet _ | P_part _ | P_part_caps _ )
-  | None -> (
+  | P_obtain _ | P_delegate_dst _ | P_open_sess _ | P_revoke _ | P_revoke_msg _ | P_migrate _
+    | P_migrate_caps _ | P_fleet _ | P_part _ | P_part_caps _
+  | (exception Not_found) -> (
     (* Redelivered reply after the handshake completed here: re-send
        the cached ack in case the original ack was lost. *)
-    match Hashtbl.find_opt t.completed_acks op with
+    match Int_table.find_opt t.completed_acks op with
     | Some (dst, ack) ->
       Obs.Registry.incr t.ctr.dup_ikc;
       receive_credit t ~peer:dst;
@@ -2339,9 +2374,9 @@ and handle_delegate_reply t ~op ~result =
       Log.debug (fun m -> m "kernel %d: duplicate delegate reply for op %d" t.id op))
 
 and handle_delegate_ack t ~op ~child_key ~commit =
-  match Hashtbl.find_opt t.pending_ops op with
-  | Some (P_delegate_dst { child_key = ck; recv_vpe; src_kernel }) -> (
-    Hashtbl.remove t.pending_ops op;
+  match Int_table.find t.pending_ops op with
+  | P_delegate_dst { child_key = ck; recv_vpe; src_kernel } -> (
+    Int_table.remove t.pending_ops op;
     (* Stop retransmitting the reply; the handshake is over. *)
     clear_retry t op;
     assert (Key.equal ck child_key);
@@ -2372,10 +2407,9 @@ and handle_delegate_ack t ~op ~child_key ~commit =
       end);
     (* Handshake over: release the thread held since the request. *)
     Thread_pool.release t.threads)
-  | Some
-      ( P_obtain _ | P_delegate_src _ | P_open_sess _ | P_revoke _ | P_revoke_msg _ | P_migrate _
-      | P_migrate_caps _ | P_fleet _ | P_part _ | P_part_caps _ )
-  | None ->
+  | P_obtain _ | P_delegate_src _ | P_open_sess _ | P_revoke _ | P_revoke_msg _ | P_migrate _
+    | P_migrate_caps _ | P_fleet _ | P_part _ | P_part_caps _
+  | (exception Not_found) ->
     (* Redelivered ack: the handshake already completed and its thread
        was already released — releasing again would corrupt the pool. *)
     Obs.Registry.incr t.ctr.dup_ikc
@@ -2402,9 +2436,9 @@ and handle_open_sess_req t ~origin ~op ~srv_key ~sess_key ~client_vpe =
         | P.Srs_grant _ | P.Srs_accept -> reply (Error P.E_invalid))
 
 and handle_open_sess_reply t ~op ~result =
-  match Hashtbl.find_opt t.pending_ops op with
-  | Some (P_open_sess { client; sess_key; srv_key; srv_kernel }) -> (
-    Hashtbl.remove t.pending_ops op;
+  match Int_table.find t.pending_ops op with
+  | P_open_sess { client; sess_key; srv_key; srv_kernel } -> (
+    Int_table.remove t.pending_ops op;
     clear_retry t op;
     match result with
     | Error e -> finish_syscall t client (P.R_err e)
@@ -2424,10 +2458,9 @@ and handle_open_sess_reply t ~op ~result =
         let sel = Capspace.insert client.Vpe.capspace sess_key in
         finish_syscall t client (P.R_sess { sel; ident })
       end)
-  | Some
-      ( P_obtain _ | P_delegate_src _ | P_delegate_dst _ | P_revoke _ | P_revoke_msg _
-      | P_migrate _ | P_migrate_caps _ | P_fleet _ | P_part _ | P_part_caps _ )
-  | None ->
+  | P_obtain _ | P_delegate_src _ | P_delegate_dst _ | P_revoke _ | P_revoke_msg _
+    | P_migrate _ | P_migrate_caps _ | P_fleet _ | P_part _ | P_part_caps _
+  | (exception Not_found) ->
     (* Redelivered reply: the session open already completed. *)
     Obs.Registry.incr t.ctr.dup_ikc;
     Log.debug (fun m -> m "kernel %d: duplicate open-session reply for op %d" t.id op)
@@ -2451,7 +2484,7 @@ and migrate_transfer t ~(vpe : Vpe.t) ~dst ~done_k =
           (Mapdb.caps_of_pe t.mapdb ~pe:vpe.Vpe.pe)
       in
       List.iter (fun (r : P.migrated_cap) -> Mapdb.remove t.mapdb r.P.m_key) records;
-      Hashtbl.remove t.vpes vpe.Vpe.id;
+      Int_table.remove t.vpes vpe.Vpe.id;
       Thread_pool.remove_vpe_thread t.threads;
       vpe.Vpe.kernel <- dst;
       (* The records are gone from this kernel: our own replica may now
@@ -2463,7 +2496,7 @@ and migrate_transfer t ~(vpe : Vpe.t) ~dst ~done_k =
             trace_event t ~kind:"migrate_transfer" ~op:(-1) ~src:t.id ~dst
               ~detail:(Printf.sprintf "vpe%d caps=%d" vpe.Vpe.id (List.length records));
           let op = fresh_op t in
-          Hashtbl.add t.pending_ops op (P_migrate_caps { mc_vpe = vpe; mc_done = done_k });
+          Int_table.add t.pending_ops op (P_migrate_caps { mc_vpe = vpe; mc_done = done_k });
           let msg = P.Ik_migrate_caps { op; src_kernel = t.id; vpe = vpe.Vpe.id; records } in
           ikc_send t ~dst msg;
           (* The transfer is retransmitted until the destination acks the
@@ -2494,7 +2527,7 @@ and part_transfer t ~pes ~(vpes : Vpe.t list) ~dst ~done_k =
       List.iter (fun (r : P.migrated_cap) -> Mapdb.remove t.mapdb r.P.m_key) records;
       List.iter
         (fun (vpe : Vpe.t) ->
-          Hashtbl.remove t.vpes vpe.Vpe.id;
+          Int_table.remove t.vpes vpe.Vpe.id;
           Thread_pool.remove_vpe_thread t.threads;
           vpe.Vpe.kernel <- dst)
         vpes;
@@ -2509,7 +2542,7 @@ and part_transfer t ~pes ~(vpes : Vpe.t list) ~dst ~done_k =
                 (Printf.sprintf "pes=%d vpes=%d caps=%d" (List.length pes) (List.length vpes)
                    (List.length records));
           let op = fresh_op t in
-          Hashtbl.add t.pending_ops op (P_part_caps { pc_vpes = vpes; pc_done = done_k });
+          Int_table.add t.pending_ops op (P_part_caps { pc_vpes = vpes; pc_done = done_k });
           let msg =
             P.Ik_part_records
               {
@@ -2574,7 +2607,7 @@ let install_new_cap t ~owner ~kind ?parent () =
    transfers the capability records. *)
 let migrate_vpe t ~(vpe : Vpe.t) ~dst done_k =
   if dst = t.id then invalid_arg "Kernel.migrate_vpe: already managed here";
-  if not (Hashtbl.mem t.registry dst) then invalid_arg "Kernel.migrate_vpe: no such kernel";
+  if not (is_kernel t dst) then invalid_arg "Kernel.migrate_vpe: no such kernel";
   (* Safety gate: never migrate onto a kernel that is not (or no
      longer) serving — a mid-leave destination would strand the VPE. *)
   if Membership.kernel_state t.membership dst <> Membership.Active then
@@ -2591,17 +2624,17 @@ let migrate_vpe t ~(vpe : Vpe.t) ~dst done_k =
   if Obs.Trace.on t.trace then
     trace_event t ~kind:"migrate_start" ~op:(-1) ~src:t.id ~dst
       ~detail:(Printf.sprintf "vpe%d" vpe.Vpe.id);
-  let peers = Hashtbl.fold (fun kid _ acc -> if kid <> t.id then kid :: acc else acc) t.registry [] in
+  let peers = peer_ids t in
   match peers with
   | [] ->
     (* Single-kernel system: nothing to broadcast. *)
     migrate_transfer t ~vpe ~dst ~done_k
   | peers ->
     let op = fresh_op t in
-    let pending_peers = Hashtbl.create (List.length peers) in
-    List.iter (fun kid -> Hashtbl.replace pending_peers kid ()) peers;
+    let pending_peers = Int_table.create (List.length peers) in
+    List.iter (fun kid -> Int_table.replace pending_peers kid ()) peers;
     let mig = { m_vpe = vpe; m_dst = dst; pending_peers; done_k; mtimer = None } in
-    Hashtbl.add t.pending_ops op (P_migrate mig);
+    Int_table.add t.pending_ops op (P_migrate mig);
     let update = P.Ik_migrate_update { op; src_kernel = t.id; pe = vpe.Vpe.pe; new_kernel = dst } in
     job t (fun () ->
         ( Int64.mul (Int64.of_int (List.length peers)) 200L,
@@ -2615,7 +2648,7 @@ let migrate_vpe t ~(vpe : Vpe.t) ~dst done_k =
                so a fault-free migration leaves nothing on the heap. *)
             if (c t).Cost.retry_max > 0 then begin
               let rec tick attempts () =
-                match Hashtbl.find_opt t.pending_ops op with
+                match Int_table.find_opt t.pending_ops op with
                 | Some (P_migrate m) when attempts < (c t).Cost.retry_max ->
                   List.iter
                     (fun kid ->
@@ -2623,7 +2656,7 @@ let migrate_vpe t ~(vpe : Vpe.t) ~dst done_k =
                       receive_credit t ~peer:kid;
                       ikc_send t ~dst:kid update)
                     (List.sort compare
-                       (Hashtbl.fold (fun kid () acc -> kid :: acc) m.pending_peers []));
+                       (Int_table.fold (fun kid () acc -> kid :: acc) m.pending_peers []));
                   m.mtimer <-
                     Some
                       (Engine.after_cancellable t.engine
@@ -2648,15 +2681,15 @@ let announce_state t ~kernel state done_k =
       | Membership.Active -> "active"
       | Membership.Draining -> "draining"
       | Membership.Retired -> "retired");
-  let peers = Hashtbl.fold (fun kid _ acc -> if kid <> t.id then kid :: acc else acc) t.registry [] in
+  let peers = peer_ids t in
   match peers with
   | [] -> done_k ()
   | peers ->
     let op = fresh_op t in
-    let f_peers = Hashtbl.create (List.length peers) in
-    List.iter (fun kid -> Hashtbl.replace f_peers kid ()) peers;
+    let f_peers = Int_table.create (List.length peers) in
+    List.iter (fun kid -> Int_table.replace f_peers kid ()) peers;
     let fop = { f_peers; f_done = done_k; f_timer = None } in
-    Hashtbl.add t.pending_ops op (P_fleet fop);
+    Int_table.add t.pending_ops op (P_fleet fop);
     let update = P.Ik_fleet_state { op; src_kernel = t.id; kernel; state } in
     job t (fun () ->
         ( Int64.mul (Int64.of_int (List.length peers)) 100L,
@@ -2664,14 +2697,14 @@ let announce_state t ~kernel state done_k =
             List.iter (fun kid -> ikc_send t ~dst:kid update) peers;
             if (c t).Cost.retry_max > 0 then begin
               let rec tick attempts () =
-                match Hashtbl.find_opt t.pending_ops op with
+                match Int_table.find_opt t.pending_ops op with
                 | Some (P_fleet f) when attempts < (c t).Cost.retry_max ->
                   List.iter
                     (fun kid ->
                       Obs.Registry.incr t.ctr.retries;
                       receive_credit t ~peer:kid;
                       ikc_send t ~dst:kid update)
-                    (List.sort compare (Hashtbl.fold (fun kid () acc -> kid :: acc) f.f_peers []));
+                    (List.sort compare (Int_table.fold (fun kid () acc -> kid :: acc) f.f_peers []));
                   f.f_timer <-
                     Some
                       (Engine.after_cancellable t.engine
@@ -2689,7 +2722,7 @@ let announce_state t ~kernel state done_k =
    every replica, then one framed record wave ships the data. *)
 let handoff_partitions t ~pes ~vpes ~dst done_k =
   if dst = t.id then invalid_arg "Kernel.handoff_partitions: already managed here";
-  if not (Hashtbl.mem t.registry dst) then invalid_arg "Kernel.handoff_partitions: no such kernel";
+  if not (is_kernel t dst) then invalid_arg "Kernel.handoff_partitions: no such kernel";
   if pes = [] then invalid_arg "Kernel.handoff_partitions: empty partition set";
   (match Membership.kernel_state t.membership dst with
   | Membership.Active | Membership.Joining -> ()
@@ -2708,15 +2741,15 @@ let handoff_partitions t ~pes ~vpes ~dst done_k =
   if Obs.Trace.on t.trace then
     trace_event t ~kind:"handoff_start" ~op:(-1) ~src:t.id ~dst
       ~detail:(Printf.sprintf "pes=%d vpes=%d" (List.length pes) (List.length vpes));
-  let peers = Hashtbl.fold (fun kid _ acc -> if kid <> t.id then kid :: acc else acc) t.registry [] in
+  let peers = peer_ids t in
   match peers with
   | [] -> part_transfer t ~pes ~vpes ~dst ~done_k
   | peers ->
     let op = fresh_op t in
-    let p_peers = Hashtbl.create (List.length peers) in
-    List.iter (fun kid -> Hashtbl.replace p_peers kid ()) peers;
+    let p_peers = Int_table.create (List.length peers) in
+    List.iter (fun kid -> Int_table.replace p_peers kid ()) peers;
     let pop = { p_pes = pes; p_vpes = vpes; p_dst = dst; p_peers; p_done = done_k; p_timer = None } in
-    Hashtbl.add t.pending_ops op (P_part pop);
+    Int_table.add t.pending_ops op (P_part pop);
     let update = P.Ik_part_update { op; src_kernel = t.id; pes; new_kernel = dst } in
     job t (fun () ->
         ( Int64.mul (Int64.of_int (List.length peers)) 200L,
@@ -2724,14 +2757,14 @@ let handoff_partitions t ~pes ~vpes ~dst done_k =
             List.iter (fun kid -> ikc_send t ~dst:kid update) peers;
             if (c t).Cost.retry_max > 0 then begin
               let rec tick attempts () =
-                match Hashtbl.find_opt t.pending_ops op with
+                match Int_table.find_opt t.pending_ops op with
                 | Some (P_part p) when attempts < (c t).Cost.retry_max ->
                   List.iter
                     (fun kid ->
                       Obs.Registry.incr t.ctr.retries;
                       receive_credit t ~peer:kid;
                       ikc_send t ~dst:kid update)
-                    (List.sort compare (Hashtbl.fold (fun kid () acc -> kid :: acc) p.p_peers []));
+                    (List.sort compare (Int_table.fold (fun kid () acc -> kid :: acc) p.p_peers []));
                   p.p_timer <-
                     Some
                       (Engine.after_cancellable t.engine
@@ -2749,11 +2782,12 @@ let handoff_partitions t ~pes ~vpes ~dst done_k =
    the §5.1 bound. A kernel may retire only when this holds with its
    VPE table and mapping database empty. *)
 let quiescent t =
-  Hashtbl.length t.pending_ops = 0
-  && Hashtbl.length t.retry_msgs = 0
-  && Hashtbl.fold (fun _ bs acc -> acc && Queue.is_empty bs.bq) t.batch_queues true
-  && Hashtbl.fold (fun _ o acc -> acc && o.o_left = 0 && o.o_acks = []) t.batch_owed true
-  && Hashtbl.fold (fun _ (credits, q) acc -> acc && !credits = Cost.max_inflight && Queue.is_empty q)
+  Int_table.length t.pending_ops = 0
+  && Int_table.length t.retry_msgs = 0
+  && fold_peers (fun _ bs acc -> acc && Queue.is_empty bs.bq) t.batch_queues true
+  && fold_peers (fun _ o acc -> acc && o.o_left = 0 && o.o_acks = []) t.batch_owed true
+  && fold_peers
+       (fun _ w acc -> acc && w.avail = Cost.max_inflight && Queue.is_empty w.stalled)
        t.credits true
 
 let quiescence_report t =
@@ -2772,22 +2806,22 @@ let quiescence_report t =
     | P_part _ -> "part"
     | P_part_caps _ -> "part_caps"
   in
-  Hashtbl.iter (fun op p -> add "pending op %d (%s)" op (pend_kind p)) t.pending_ops;
-  Hashtbl.iter (fun op _ -> add "retrying msg op %d" op) t.retry_msgs;
-  Hashtbl.iter
+  Int_table.iter (fun op p -> add "pending op %d (%s)" op (pend_kind p)) t.pending_ops;
+  Int_table.iter (fun op _ -> add "retrying msg op %d" op) t.retry_msgs;
+  iter_peers
     (fun dst bs ->
       if not (Queue.is_empty bs.bq) then add "batch queue to %d holds %d" dst (Queue.length bs.bq))
     t.batch_queues;
-  Hashtbl.iter
+  iter_peers
     (fun src o ->
       if o.o_left <> 0 || o.o_acks <> [] then
         add "owes %d credit acks to %d (%d parked)" o.o_left src (List.length o.o_acks))
     t.batch_owed;
-  Hashtbl.iter
-    (fun dst (credits, q) ->
-      if !credits <> Cost.max_inflight || not (Queue.is_empty q) then
-        add "credit window to %d at %d/%d (%d queued)" dst !credits Cost.max_inflight
-          (Queue.length q))
+  iter_peers
+    (fun dst w ->
+      if w.avail <> Cost.max_inflight || not (Queue.is_empty w.stalled) then
+        add "credit window to %d at %d/%d (%d queued)" dst w.avail Cost.max_inflight
+          (Queue.length w.stalled))
     t.credits;
   if !parts = [] then "quiescent" else String.concat "; " (List.sort compare !parts)
 
@@ -2807,14 +2841,14 @@ let check_invariants t =
       if Cap.is_marked cap then
         err "cap %s still marked while system is idle" (Key.to_string cap.Cap.key))
     t.mapdb;
-  Hashtbl.iter (fun op _ -> err "pending operation %d while system is idle" op) t.pending_ops;
-  Hashtbl.iter
+  Int_table.iter (fun op _ -> err "pending operation %d while system is idle" op) t.pending_ops;
+  iter_peers
     (fun peer bs ->
       if not (Queue.is_empty bs.bq) then
         err "%d messages for kernel %d still queued in a batch window while system is idle"
           (Queue.length bs.bq) peer)
     t.batch_queues;
-  Hashtbl.iter
+  iter_peers
     (fun peer o ->
       if o.o_left <> 0 then
         err "%d absorbed credit returns still owed to kernel %d while system is idle" o.o_left
@@ -2823,11 +2857,11 @@ let check_invariants t =
         err "%d piggybacked acks for kernel %d still stashed while system is idle"
           (List.length o.o_acks) peer)
     t.batch_owed;
-  Hashtbl.iter
+  Int_table.iter
     (fun vid (vpe : Vpe.t) ->
       if vpe.Vpe.frozen then err "VPE %d still frozen while system is idle" vid)
     t.vpes;
-  Hashtbl.iter
+  Int_table.iter
     (fun vid (vpe : Vpe.t) ->
       Capspace.iter
         (fun sel key ->

@@ -63,10 +63,12 @@ type stats = {
 
 type t
 
-(** [create ?obs ?trace ... ()] registers this kernel's counters,
-    histograms, and gauges in [obs] (default: a fresh private registry)
-    under the [kernel<id>.*] namespace, and records protocol events in
-    [trace] (default: none, tracing off). *)
+(** [create ?obs ?trace ... ~registry ()] registers this kernel's
+    counters, histograms, and gauges in [obs] (default: a fresh private
+    registry) under the [kernel<id>.*] namespace, records protocol
+    events in [trace] (default: none, tracing off), and enters itself
+    at index [id] of [registry]: the whole fleet by kernel id, one slot
+    per kernel booted, shared by every kernel of the system. *)
 val create :
   ?obs:Semper_obs.Obs.Registry.t ->
   ?trace:Semper_obs.Obs.Trace.t ->
@@ -78,8 +80,7 @@ val create :
   membership:Semper_ddl.Membership.t ->
   cost:Cost.t ->
   env:env ->
-  registry:(int, t) Hashtbl.t ->
-  kernel_count:int ->
+  registry:t option array ->
   unit ->
   t
 

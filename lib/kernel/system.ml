@@ -6,6 +6,7 @@ module Membership = Semper_ddl.Membership
 
 module Fault = Semper_fault.Fault
 module Obs = Semper_obs.Obs
+module Int_table = Semper_util.Int_table
 
 type config = {
   kernels : int;
@@ -65,9 +66,9 @@ type t = {
   fabric : Fabric.t;
   grid : Dtu.grid;
   membership : Membership.t;
-  registry : (int, Kernel.t) Hashtbl.t;
+  registry : Kernel.t option array;  (* by kernel id, shared with the kernels *)
   groups : group array;
-  vpes : (int, Vpe.t) Hashtbl.t;
+  vpes : Vpe.t Int_table.t;
   fault : Fault.t option;
   obs : Obs.Registry.t;
   trace : Obs.Trace.t;
@@ -83,7 +84,7 @@ let obs t = t.obs
 let trace_buffer t = t.trace
 
 let kernel t i =
-  match Hashtbl.find_opt t.registry i with
+  match if i >= 0 && i < Array.length t.registry then t.registry.(i) else None with
   | Some k -> k
   | None -> invalid_arg "System.kernel: no such kernel"
 
@@ -93,7 +94,7 @@ let kernels t =
 let kernel_count t = total_kernels t.cfg
 let boot_kernels t = t.cfg.kernels
 let pe_count t = total_kernels t.cfg * (1 + t.cfg.user_pes_per_kernel)
-let find_vpe t vid = Hashtbl.find_opt t.vpes vid
+let find_vpe t vid = Int_table.find_opt t.vpes vid
 let now t = Engine.now t.engine
 
 let free_pes t ~kernel =
@@ -115,7 +116,7 @@ let register_vpe t ~pe ~kernel:kid =
   let id = t.next_vpe in
   t.next_vpe <- id + 1;
   let vpe = Vpe.make ~id ~pe ~kernel:kid in
-  Hashtbl.add t.vpes id vpe;
+  Int_table.add t.vpes id vpe;
   Kernel.add_vpe (kernel t kid) vpe;
   vpe
 
@@ -170,7 +171,7 @@ let create cfg =
         plan)
       cfg.fault
   in
-  let registry = Hashtbl.create (total_kernels cfg) in
+  let registry = Array.make (total_kernels cfg) None in
   let t =
     {
       cfg;
@@ -180,7 +181,7 @@ let create cfg =
       membership;
       registry;
       groups;
-      vpes = Hashtbl.create 256;
+      vpes = Int_table.create 256;
       fault;
       obs;
       trace;
@@ -189,7 +190,7 @@ let create cfg =
   in
   let env =
     {
-      Kernel.locate_vpe = (fun vid -> Hashtbl.find_opt t.vpes vid);
+      Kernel.locate_vpe = (fun vid -> Int_table.find_opt t.vpes vid);
       alloc_pe =
         (fun ~kernel ->
           (* A kernel that is not serving (spare, joining, draining,
@@ -221,8 +222,7 @@ let create cfg =
        the paper (Figure 2) — PE migration must update all of them. *)
     ignore
       (Kernel.create ~obs ~trace ~engine ~fabric ~grid ~id:g ~pe:groups.(g).kernel_pe
-         ~membership:(Membership.copy membership) ~cost ~env ~registry
-         ~kernel_count:(total_kernels cfg) ())
+         ~membership:(Membership.copy membership) ~cost ~env ~registry ())
   done;
   t
 
@@ -311,7 +311,7 @@ let snapshot t =
     s_kernels =
       List.init (total_kernels t.cfg) (fun i -> (i, Kernel.snapshot (kernel t i)));
     s_vpes =
-      Hashtbl.fold (fun id v acc -> (id, Vpe.snapshot v) :: acc) t.vpes []
+      Int_table.fold (fun id v acc -> (id, Vpe.snapshot v) :: acc) t.vpes []
       |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
     s_groups =
       Array.map (fun g -> List.rev (Queue.fold (fun acc pe -> pe :: acc) [] g.free)) t.groups;
@@ -347,7 +347,7 @@ let restore t s =
   Obs.Trace.restore t.trace s.s_trace;
   List.iter
     (fun (id, vs) ->
-      match Hashtbl.find_opt t.vpes id with
+      match Int_table.find_opt t.vpes id with
       | Some v -> Vpe.restore v vs
       | None -> invalid_arg "System.restore: snapshot mentions a VPE this system never spawned")
     s.s_vpes;
@@ -366,7 +366,7 @@ let shutdown t =
      space; concurrent exits exercise the overlapping-revoke machinery
      (session capabilities are children of service capabilities owned by
      other exiting VPEs). *)
-  Hashtbl.iter
+  Int_table.iter
     (fun _ (vpe : Vpe.t) ->
       if Vpe.is_alive vpe then Kernel.syscall (kernel t vpe.Vpe.kernel) ~vpe Protocol.Sys_exit (fun _ -> ()))
     t.vpes;

@@ -11,17 +11,18 @@ type t = {
   topology : Topology.t;
   config : config;
   (* Last scheduled delivery time per (src, dst), to enforce pairwise
-     FIFO, keyed by [src * pe_count + dst]. The key is a single
-     immediate int, so lookups neither allocate nor hash a tuple; the
-     table holds only pairs that have actually communicated — O(PEs)
-     in practice, since a PE talks to its kernel and its services. The
-     flat [pe_count^2] array this replaces was 138 MB at 4K PEs:
-     creation alone cost a quarter second of memset, every message's
-     clamp was a guaranteed cache miss, and the major GC dragged the
-     whole array through every cycle — the largest single source of
-     the events/s droop from 1K to 4K PEs. Plain [int] cycles (cycle
-     counts fit 63 bits by far; an [int64] value would box). *)
-  last_delivery : (int, int) Hashtbl.t;
+     FIFO, keyed by [src * pe_count + dst]. Every delivered copy reads
+     and writes it, so it is a flat open-addressing map over two int
+     arrays: the clamp is one probe that neither allocates, calls into
+     C, compares polymorphically nor takes a write barrier. It holds
+     only pairs that have actually communicated — O(PEs) in practice,
+     since a PE talks to its kernel and its services. A dense
+     [pe_count^2] array would be 138 MB at 4K PEs: creation alone cost
+     a quarter second of memset, every message's clamp was a
+     guaranteed cache miss, and the major GC dragged the whole array
+     through every cycle. Plain [int] cycles (cycle counts fit 63 bits
+     by far; an [int64] value would box). *)
+  last_delivery : Semper_util.Flat_map.t;
   mutable injector : injector option;
   messages : Obs.Registry.counter;
   bytes : Obs.Registry.counter;
@@ -42,7 +43,7 @@ let create ?obs engine topology config =
     engine;
     topology;
     config;
-    last_delivery = Hashtbl.create 1024;
+    last_delivery = Semper_util.Flat_map.create 1024;
     injector = None;
     messages = c "messages_offered";
     bytes = c "bytes_offered";
@@ -74,12 +75,7 @@ let latency t ~src ~dst ~bytes =
    stream too). *)
 let deliver t ~src ~dst ~bytes a k =
   let slot = (src * Topology.pe_count t.topology) + dst in
-  let a =
-    match Hashtbl.find_opt t.last_delivery slot with
-    | Some prev when prev > Int64.to_int a -> Int64.of_int prev
-    | Some _ | None -> a
-  in
-  Hashtbl.replace t.last_delivery slot (Int64.to_int a);
+  let a = Int64.of_int (Semper_util.Flat_map.raise_to t.last_delivery slot (Int64.to_int a)) in
   Semper_sim.Engine.at t.engine a (fun () ->
       Obs.Registry.incr t.messages_delivered;
       Obs.Registry.add t.bytes_delivered bytes;
@@ -130,9 +126,9 @@ let send ?(tag = "") t ~src ~dst ~bytes k =
 type snapshot = { s_last_delivery : (int * int) array }
 
 let snapshot t =
-  let a = Array.make (Hashtbl.length t.last_delivery) (0, 0) in
+  let a = Array.make (Semper_util.Flat_map.length t.last_delivery) (0, 0) in
   let i = ref 0 in
-  Hashtbl.iter
+  Semper_util.Flat_map.iter
     (fun k v ->
       a.(!i) <- (k, v);
       incr i)
@@ -141,8 +137,8 @@ let snapshot t =
   { s_last_delivery = a }
 
 let restore t s =
-  Hashtbl.reset t.last_delivery;
-  Array.iter (fun (k, v) -> Hashtbl.replace t.last_delivery k v) s.s_last_delivery
+  Semper_util.Flat_map.clear t.last_delivery;
+  Array.iter (fun (k, v) -> Semper_util.Flat_map.replace t.last_delivery k v) s.s_last_delivery
 
 let messages t = Obs.Registry.value t.messages
 let bytes_carried t = Obs.Registry.value t.bytes

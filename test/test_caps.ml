@@ -134,6 +134,17 @@ let test_mapdb_caps_of_vpe () =
   Mapdb.insert db (Cap.make ~key:(key 2) ~kind:mem_kind ~owner_vpe:1 ());
   check Alcotest.int "vpe 1 owns two" 2 (List.length (Mapdb.caps_of_vpe db ~vpe:1))
 
+(* Ownership chains are indexed by owner id: a negative owner is
+   refused up front and leaves the database untouched. *)
+let test_arena_negative_owner () =
+  let arena = Semper_caps.Arena.create () in
+  Alcotest.check_raises "negative owner" (Invalid_argument "Arena.insert: negative owner VPE")
+    (fun () -> Semper_caps.Arena.insert arena (Cap.make ~key:(key 0) ~kind:mem_kind ~owner_vpe:(-1) ()));
+  check Alcotest.int "nothing inserted" 0 (Semper_caps.Arena.count arena);
+  check Alcotest.bool "key free" false (Semper_caps.Arena.mem arena (key 0));
+  Semper_caps.Arena.insert arena (Cap.make ~key:(key 0) ~kind:mem_kind ~owner_vpe:0 ());
+  check Alcotest.int "owner 0 accepted" 1 (List.length (Semper_caps.Arena.caps_of_vpe arena ~vpe:0))
+
 let test_mapdb_fresh_obj_monotonic () =
   let db = Mapdb.create () in
   let a = Mapdb.fresh_obj db and b = Mapdb.fresh_obj db in
@@ -168,5 +179,6 @@ let suite =
     Alcotest.test_case "mapdb basic" `Quick test_mapdb_basic;
     Alcotest.test_case "mapdb caps_of_vpe" `Quick test_mapdb_caps_of_vpe;
     Alcotest.test_case "mapdb fresh_obj" `Quick test_mapdb_fresh_obj_monotonic;
+    Alcotest.test_case "arena rejects a negative owner" `Quick test_arena_negative_owner;
     Alcotest.test_case "mapdb link check" `Quick test_mapdb_link_check;
   ]

@@ -77,6 +77,28 @@ let test_membership () =
   Alcotest.check_raises "double assign" (Invalid_argument "Membership.assign: PE already assigned")
     (fun () -> Membership.assign m ~pe:0 ~kernel:1)
 
+(* PEs outside the assigned range — past the end, negative, in a gap —
+   are unassigned: lookups raise [Not_found], [in_handoff] answers
+   [false], and nothing else changes. *)
+let test_membership_out_of_range () =
+  let m = Membership.create () in
+  Membership.assign m ~pe:0 ~kernel:0;
+  Membership.assign m ~pe:5 ~kernel:1;
+  List.iter
+    (fun pe ->
+      let what = Printf.sprintf "pe %d" pe in
+      Alcotest.check_raises what Not_found (fun () -> ignore (Membership.kernel_of_pe m pe));
+      check Alcotest.bool (what ^ " not in handoff") false (Membership.in_handoff m pe);
+      Alcotest.check_raises (what ^ " reassign") Not_found (fun () ->
+          Membership.reassign m ~pe ~kernel:0);
+      Alcotest.check_raises (what ^ " begin_handoff") Not_found (fun () ->
+          Membership.begin_handoff m ~pe))
+    [ 3; 6; 1_000_000; -1; min_int ];
+  Alcotest.check_raises "negative pe" (Invalid_argument "Membership.assign: negative id") (fun () ->
+      Membership.assign m ~pe:(-2) ~kernel:0);
+  check Alcotest.int "size" 2 (Membership.size m);
+  check Alcotest.(list int) "kernels" [ 0; 1 ] (Membership.kernels m)
+
 let test_membership_seal_and_copy () =
   let m = Membership.create () in
   Membership.assign m ~pe:0 ~kernel:0;
@@ -101,4 +123,5 @@ let suite =
     Alcotest.test_case "key table" `Quick test_key_table;
     Alcotest.test_case "membership" `Quick test_membership;
     Alcotest.test_case "membership seal and copy" `Quick test_membership_seal_and_copy;
+    Alcotest.test_case "membership out-of-range PEs" `Quick test_membership_out_of_range;
   ]

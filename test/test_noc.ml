@@ -167,6 +167,38 @@ let test_fabric_injector_fifo_clamp () =
   ignore (Engine.run e);
   check Alcotest.(list string) "FIFO survives injection" [ "first"; "second" ] (List.rev !log)
 
+(* The FIFO clamp grows well past its initial capacity (one entry per
+   channel used: 9,900 here, four growths), and a snapshot restored
+   into a fresh fabric reproduces it exactly — same snapshot, and the
+   same clamped arrival on every channel. *)
+let test_fabric_clamp_snapshot_after_growth () =
+  let e = Engine.create () in
+  let topo = Topology.square 100 in
+  let f = Fabric.create e topo Fabric.default_config in
+  for src = 0 to 99 do
+    for dst = 0 to 99 do
+      if src <> dst then
+        Fabric.send f ~src ~dst ~bytes:(((src * 7) + dst) mod 4096) (fun () -> ())
+    done
+  done;
+  let snap = Fabric.snapshot f in
+  let e' = Engine.create () in
+  let f' = Fabric.create e' topo Fabric.default_config in
+  Fabric.restore f' snap;
+  check Alcotest.bool "snapshot -> restore -> snapshot" true (Fabric.snapshot f' = snap);
+  (* A zero-byte message is faster than every clamp above, so each
+     channel must deliver at its restored clamp. *)
+  let arrivals fab eng =
+    let times = ref [] in
+    for src = 0 to 99 do
+      let dst = (src + 37) mod 100 in
+      Fabric.send fab ~src ~dst ~bytes:0 (fun () -> times := Engine.now eng :: !times)
+    done;
+    ignore (Engine.run eng);
+    List.rev !times
+  in
+  check Alcotest.(list int64) "clamped arrivals" (arrivals f e) (arrivals f' e')
+
 let suite =
   [
     Alcotest.test_case "mesh basics" `Quick test_mesh_basics;
@@ -182,4 +214,6 @@ let suite =
     Alcotest.test_case "fabric injector duplicate" `Quick test_fabric_injector_duplicate;
     Alcotest.test_case "fabric injector partial drop" `Quick test_fabric_partial_drop;
     Alcotest.test_case "fabric injector FIFO clamp" `Quick test_fabric_injector_fifo_clamp;
+    Alcotest.test_case "fabric clamp snapshot after growth" `Quick
+      test_fabric_clamp_snapshot_after_growth;
   ]

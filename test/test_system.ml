@@ -129,9 +129,69 @@ let test_latency_stats () =
     check Alcotest.bool "plausible latency" true
       (Stats.Acc.mean acc > 1000.0 && Stats.Acc.mean acc < 10000.0)
 
+(* Ids outside the booted fleet keep their failure modes. *)
+let test_kernel_lookup_out_of_range () =
+  let sys = System.create (System.config ~kernels:2 ~user_pes_per_kernel:2 ()) in
+  List.iter
+    (fun i ->
+      Alcotest.check_raises (Printf.sprintf "kernel %d" i)
+        (Invalid_argument "System.kernel: no such kernel") (fun () -> ignore (System.kernel sys i)))
+    [ -1; 2; 64; max_int ]
+
+(* Log lines written while [f] runs, as [(level, text)]. *)
+let capture_logs f =
+  let lines = ref [] in
+  let report _src level ~over k msgf =
+    msgf (fun ?header:_ ?tags:_ fmt ->
+        Format.kasprintf
+          (fun s ->
+            lines := (level, s) :: !lines;
+            over ();
+            k ())
+          fmt)
+  in
+  let reporter = Logs.reporter () and level = Logs.level () in
+  Logs.set_reporter { Logs.report };
+  Logs.set_level (Some Logs.Warning);
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter reporter;
+      Logs.set_level level)
+    f;
+  List.rev !lines
+
+(* A request from a kernel id with no kernel behind it: the credit
+   return toward the sender is dropped, and the reply toward it is
+   logged as "no peer kernel" and dropped — neither path raises, and
+   nothing reaches the fabric. *)
+let test_ikc_to_missing_kernel () =
+  let sys = System.create (System.config ~kernels:2 ~user_pes_per_kernel:2 ()) in
+  let k0 = System.kernel sys 0 in
+  let phantoms = [ 7; -3 ] in
+  let logs =
+    capture_logs (fun () ->
+        List.iteri
+          (fun i phantom ->
+            Kernel.deliver_ikc k0 ~src_kernel:phantom
+              (Protocol.Ik_fleet_state
+                 { op = 0x7000000 + i; src_kernel = phantom; kernel = 1; state = Membership.Active }))
+          phantoms;
+        ignore (System.run sys))
+  in
+  List.iter
+    (fun phantom ->
+      let needle = Printf.sprintf "no peer kernel %d" phantom in
+      check Alcotest.bool needle true
+        (List.exists (fun (level, s) -> level = Logs.Error && Str_contains.contains s needle) logs))
+    phantoms;
+  check Alcotest.int "nothing transmitted" 0 (Kernel.stats k0).Kernel.ikc_sent;
+  check Alcotest.int "no fabric traffic" 0 (Fabric.messages (System.fabric sys))
+
 let suite =
   [
     Alcotest.test_case "layout" `Quick test_layout;
+    Alcotest.test_case "kernel lookup out of range" `Quick test_kernel_lookup_out_of_range;
+    Alcotest.test_case "IKC to a missing kernel is dropped" `Quick test_ikc_to_missing_kernel;
     Alcotest.test_case "DTU privilege at boot" `Quick test_dtu_privilege_at_boot;
     Alcotest.test_case "PE allocation" `Quick test_pe_allocation;
     Alcotest.test_case "create_vpe syscall" `Quick test_create_vpe_syscall;

@@ -1,5 +1,6 @@
 (* Unit and property tests for the utility substrate (RNG, statistics,
-   table rendering) and for the binary heap behind the engine oracle. *)
+   table rendering, the int-keyed tables of the message path) and for
+   the binary heap behind the engine oracle. *)
 
 open Semperos
 
@@ -211,6 +212,162 @@ let test_series () =
     (String.length out > 0
     && Str_contains.contains out "4.50")
 
+(* ------------------------------------------------------------------ *)
+(* Int_table: the polymorphic table's order, monomorphically           *)
+
+module Int_table = Semper_util.Int_table
+module Flat_map = Semper_util.Flat_map
+
+type table_op = Add of int * int | Replace of int * int | Remove of int
+
+let pp_table_op = function
+  | Add (k, v) -> Printf.sprintf "add %d %d" k v
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+
+(* Keys mix small ids, negatives, wide strides and arbitrary ints. The
+   script opens with 300 adds, so every table crosses at least four
+   resizes (16 -> 256 buckets) before the mixed tail reshapes it. *)
+let table_script_gen =
+  QCheck.Gen.(
+    let key =
+      oneof
+        [ int_range 0 700; int_range (-60) 60; map (fun k -> k * 4096) (int_range 0 400); int ]
+    in
+    let op =
+      frequency
+        [
+          (4, map2 (fun k v -> Add (k, v)) key small_nat);
+          (3, map2 (fun k v -> Replace (k, v)) key small_nat);
+          (3, map (fun k -> Remove k) key);
+        ]
+    in
+    triple (int_range 0 100)
+      (list_size (return 300) (map2 (fun k v -> Add (k, v)) key small_nat))
+      (list_size (int_range 0 900) op))
+
+let arb_table_script =
+  QCheck.make table_script_gen ~print:(fun (n, a, b) ->
+      Printf.sprintf "create %d; %s" n (String.concat "; " (List.map pp_table_op (a @ b))))
+
+let prop_int_table_order =
+  QCheck.Test.make ~name:"Int_table iterates in the polymorphic Hashtbl's order" ~count:200
+    arb_table_script (fun (n, prefix, tail) ->
+      let mono = Int_table.create n and poly = Hashtbl.create n in
+      List.iter
+        (function
+          | Add (k, v) ->
+            Int_table.add mono k v;
+            Hashtbl.add poly k v
+          | Replace (k, v) ->
+            Int_table.replace mono k v;
+            Hashtbl.replace poly k v
+          | Remove k ->
+            Int_table.remove mono k;
+            Hashtbl.remove poly k)
+        (prefix @ tail);
+      let folded fold tbl = fold (fun k v acc -> (k, v) :: acc) tbl [] in
+      let iterated iter tbl =
+        let acc = ref [] in
+        iter (fun k v -> acc := (k, v) :: !acc) tbl;
+        !acc
+      in
+      (Hashtbl.stats poly).Hashtbl.num_buckets >= 256
+      && folded Int_table.fold mono = folded Hashtbl.fold poly
+      && iterated Int_table.iter mono = iterated Hashtbl.iter poly)
+
+(* ------------------------------------------------------------------ *)
+(* Flat_map: differential against Hashtbl                              *)
+
+type flat_op = Set of int * int | Raise of int * int | Find of int
+
+let flat_script_gen =
+  QCheck.Gen.(
+    let key =
+      oneof [ int_range 0 300; map (fun k -> k * 8192) (int_range 0 300); int_range 0 max_int ]
+    in
+    list_size (int_range 150 1500)
+      (frequency
+         [
+           (3, map2 (fun k v -> Set (k, v)) key int);
+           (3, map2 (fun k v -> Raise (k, v)) key int);
+           (3, map (fun k -> Find k) key);
+         ]))
+
+let arb_flat_script =
+  QCheck.make flat_script_gen ~print:(fun ops ->
+      String.concat "; "
+        (List.map
+           (function
+             | Set (k, v) -> Printf.sprintf "set %d %d" k v
+             | Raise (k, v) -> Printf.sprintf "raise %d %d" k v
+             | Find k -> Printf.sprintf "find %d" k)
+           ops))
+
+let prop_flat_map_model =
+  QCheck.Test.make ~name:"Flat_map agrees with Hashtbl across growths" ~count:200 arb_flat_script
+    (fun ops ->
+      let m = Flat_map.create 0 and model = Hashtbl.create 16 in
+      let agrees =
+        List.for_all
+          (function
+            | Set (k, v) ->
+              Flat_map.replace m k v;
+              Hashtbl.replace model k v;
+              true
+            | Raise (k, v) ->
+              let want =
+                match Hashtbl.find_opt model k with Some old when old >= v -> old | _ -> v
+              in
+              Hashtbl.replace model k want;
+              Flat_map.raise_to m k v = want
+            | Find k ->
+              Flat_map.find_default m k ~default:min_int
+              = Option.value (Hashtbl.find_opt model k) ~default:min_int)
+          ops
+      in
+      let bindings iter t =
+        let acc = ref [] in
+        iter (fun k v -> acc := (k, v) :: !acc) t;
+        List.sort compare !acc
+      in
+      agrees
+      && Flat_map.length m = Hashtbl.length model
+      && bindings Flat_map.iter m = bindings Hashtbl.iter model)
+
+(* At least three growths from the smallest table, then a full check
+   of every key, bound and unbound. *)
+let test_flat_map_growth () =
+  let m = Flat_map.create 0 in
+  for k = 0 to 299 do
+    Flat_map.replace m (k * 7) k
+  done;
+  check Alcotest.int "length" 300 (Flat_map.length m);
+  for k = 0 to 2099 do
+    let want = if k mod 7 = 0 then k / 7 else -1 in
+    check Alcotest.int (Printf.sprintf "key %d" k) want (Flat_map.find_default m k ~default:(-1))
+  done;
+  Flat_map.clear m;
+  check Alcotest.int "cleared" 0 (Flat_map.length m);
+  check Alcotest.int "cleared key" (-1) (Flat_map.find_default m 7 ~default:(-1));
+  Alcotest.check_raises "negative key" (Invalid_argument "Flat_map: negative key") (fun () ->
+      Flat_map.replace m (-1) 0)
+
+(* Fabric keys are [src * pe_count + dst]: long runs of keys sharing
+   their low bits. A hash that keeps the low bits (the identity) piles
+   them into one cluster; the multiplicative hash keeps every probe
+   short. *)
+let test_flat_map_spreads_strided_keys () =
+  List.iter
+    (fun stride ->
+      let m = Flat_map.create 0 in
+      for i = 0 to 999 do
+        Flat_map.replace m (i * stride) i
+      done;
+      let d = Flat_map.max_displacement m in
+      check Alcotest.bool (Printf.sprintf "stride %d: longest probe %d" stride d) true (d <= 32))
+    [ 1; 64; 4096; 65536; 1 lsl 30 ]
+
 let suite =
   [
     Alcotest.test_case "heap basic" `Quick test_heap_basic;
@@ -233,4 +390,8 @@ let suite =
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table arity" `Quick test_table_arity;
     Alcotest.test_case "series render" `Quick test_series;
+    qcheck prop_int_table_order;
+    qcheck prop_flat_map_model;
+    Alcotest.test_case "flat map growth" `Quick test_flat_map_growth;
+    Alcotest.test_case "flat map spreads strided keys" `Quick test_flat_map_spreads_strided_keys;
   ]
