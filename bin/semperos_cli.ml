@@ -6,10 +6,10 @@
    semperos_cli run     — run an application workload at scale
    semperos_cli nginx   — run the webserver benchmark
    semperos_cli fuzz    — fuzz the capability protocols under faults
-   semperos_cli record  — run a figure experiment with periodic checkpoints
-   semperos_cli replay  — resume a recorded figure run from a checkpoint
+   semperos_cli record  — run a registry entry with periodic checkpoints
+   semperos_cli replay  — resume a recorded run from a checkpoint
    semperos_cli shrink  — minimise a failing fuzz case by delta debugging
-   semperos_cli bench   — wall-clock throughput of the simulator itself
+   semperos_cli bench   — regenerate a table, figure or BENCH_*.json file
    semperos_cli stats   — run a workload, dump the metrics registry as JSON
    semperos_cli trace   — run a workload, dump the protocol trace as JSONL *)
 
@@ -22,22 +22,19 @@ let mode_arg =
     (Term.const (fun m3 -> if m3 then Cost.M3 else Cost.Semperos))
     Arg.(value & flag & info [ "m3" ] ~doc)
 
-(* Evaluates to the job count and records it as the session default
-   (see {!Semperos.Runner}). Results are collected in submission order,
-   so any job count prints identical bytes. *)
+(* Results are collected in submission order, so any job count prints
+   identical bytes. *)
 let jobs_arg =
   let doc =
     "Run independent simulations on $(docv) OCaml domains (default: available cores; 1 = serial)."
   in
   Term.app
-    (Term.const (fun j ->
-         (match j with
-         | Some n when n >= 1 -> Runner.set_jobs n
-         | Some n ->
-           Fmt.epr "error: --jobs must be >= 1 (got %d)@." n;
-           exit 2
-         | None -> ());
-         Runner.jobs ()))
+    (Term.const (function
+      | None -> Domain_pool.available_cores ()
+      | Some n when n >= 1 -> n
+      | Some n ->
+        Fmt.epr "error: --jobs must be >= 1 (got %d)@." n;
+        exit 2))
     Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 (* ------------------------------------------------------------------ *)
@@ -118,7 +115,7 @@ let run_cmd =
     (* The single-instance reference and the scaled run are independent
        simulations; with [--jobs 2] they proceed on separate domains. *)
     let single, o =
-      match Runner.experiments ~jobs [ { cfg with Experiment.instances = 1 }; cfg ] with
+      match Domain_pool.map ~jobs Experiment.run [ { cfg with Experiment.instances = 1 }; cfg ] with
       | [ s; o ] -> (s, o)
       | _ -> assert false
     in
@@ -218,63 +215,6 @@ let trace_replay_cmd =
     (Cmd.info "trace-replay" ~doc:"Replay a saved syscall trace against a fresh system.")
     Term.(const run $ path $ kernels)
 
-let latency_cmd =
-  let run workload kernels services instances =
-    let trace = Trace.with_prefix "/i0" (workload.Workloads.build ()) in
-    ignore trace;
-    (* Run the workload and print each kernel's per-syscall latency
-       profile. *)
-    let sys =
-      System.create (System.config ~kernels ~user_pes_per_kernel:((instances / kernels) + 2) ())
-    in
-    let fs =
-      M3fs.create ~config:workload.Workloads.fs_config sys ~kernel:0 ~name:"m3fs"
-        ~files:
-          (List.concat
-             (List.init instances (fun i ->
-                  (Trace.with_prefix (Fmt.str "/i%d" i) (workload.Workloads.build ())).Trace.files)))
-        ()
-    in
-    ignore services;
-    for i = 0 to instances - 1 do
-      let vpe = System.spawn_vpe sys ~kernel:(i mod kernels) in
-      Replay.run sys fs ~vpe
-        (Trace.with_prefix (Fmt.str "/i%d" i) (workload.Workloads.build ()))
-        (fun _ -> ())
-    done;
-    ignore (System.run sys);
-    List.iter
-      (fun k ->
-        let rows =
-          List.map
-            (fun (name, acc) ->
-              [
-                name;
-                string_of_int (Stats.Acc.count acc);
-                Fmt.str "%.0f" (Stats.Acc.mean acc);
-                Fmt.str "%.0f" (Stats.Acc.min acc);
-                Fmt.str "%.0f" (Stats.Acc.max acc);
-              ])
-            (Kernel.stats k).Kernel.latencies
-        in
-        if rows <> [] then
-          Table.print
-            ~title:(Fmt.str "kernel %d syscall latencies (cycles)" (Kernel.id k))
-            ~header:[ "syscall"; "count"; "mean"; "min"; "max" ]
-            rows)
-      (System.kernels sys)
-  in
-  let workload =
-    Arg.(required & opt (some workload_arg) None & info [ "workload"; "w" ] ~docv:"NAME"
-           ~doc:"Workload to profile.")
-  in
-  let kernels = Arg.(value & opt int 2 & info [ "kernels"; "k" ] ~docv:"K" ~doc:"PE groups.") in
-  let services = Arg.(value & opt int 1 & info [ "services"; "s" ] ~docv:"S" ~doc:"(unused, single service)") in
-  let instances = Arg.(value & opt int 8 & info [ "instances"; "n" ] ~docv:"N" ~doc:"Instances.") in
-  Cmd.v
-    (Cmd.info "latency" ~doc:"Per-syscall latency profile of a workload run.")
-    Term.(const run $ workload $ kernels $ services $ instances)
-
 (* Shared driver for the observability commands: run [instances] copies
    of a workload against one m3fs on a multi-kernel system, then hand
    the system to [emit]. Everything is sim-clock driven, so the same
@@ -309,6 +249,35 @@ let obs_workload_args =
   let kernels = Arg.(value & opt int 2 & info [ "kernels"; "k" ] ~docv:"K" ~doc:"PE groups.") in
   let instances = Arg.(value & opt int 8 & info [ "instances"; "n" ] ~docv:"N" ~doc:"Instances.") in
   (workload, kernels, instances)
+
+let latency_cmd =
+  let workload, kernels, instances = obs_workload_args in
+  let run workload kernels instances =
+    run_observed workload kernels instances (fun sys ->
+        List.iter
+          (fun k ->
+            let rows =
+              List.map
+                (fun (name, acc) ->
+                  [
+                    name;
+                    string_of_int (Stats.Acc.count acc);
+                    Fmt.str "%.0f" (Stats.Acc.mean acc);
+                    Fmt.str "%.0f" (Stats.Acc.min acc);
+                    Fmt.str "%.0f" (Stats.Acc.max acc);
+                  ])
+                (Kernel.stats k).Kernel.latencies
+            in
+            if rows <> [] then
+              Table.print
+                ~title:(Fmt.str "kernel %d syscall latencies (cycles)" (Kernel.id k))
+                ~header:[ "syscall"; "count"; "mean"; "min"; "max" ]
+                rows)
+          (System.kernels sys))
+  in
+  Cmd.v
+    (Cmd.info "latency" ~doc:"Per-syscall latency profile of a workload run.")
+    Term.(const run $ workload $ kernels $ instances)
 
 let stats_cmd =
   let workload, kernels, instances = obs_workload_args in
@@ -436,24 +405,19 @@ let fuzz_cmd =
           $ no_drop $ no_stall $ no_retry $ verbose $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
-(* Recorded figure runs: record / replay / shrink.
+(* Recorded runs: record / replay / shrink.
 
-   [record] runs a figure sweep with periodic result-prefix checkpoints
-   in a directory; [replay --from N] resumes from the nearest checkpoint
-   and must print bytes identical to the recording (the resume note goes
-   to stderr, keeping stdout comparable). *)
+   [record] runs a registry entry with periodic result-prefix
+   checkpoints in a directory; [replay --from N] resumes from the
+   nearest checkpoint and must print bytes identical to the recording
+   (the resume note goes to stderr, keeping stdout comparable). *)
 
-let figure_arg =
-  let parse s =
-    match Figures.find s with
-    | Some f -> Ok f
-    | None ->
-      Error
-        (`Msg
-          (Fmt.str "unknown figure %S (expected one of: %s)" s
-             (String.concat ", " (List.map (fun f -> f.Figures.name) Figures.all))))
-  in
-  Arg.conv (parse, fun ppf f -> Fmt.string ppf f.Figures.name)
+let entry_arg = Arg.enum (List.map (fun e -> (Entry.name e, e)) Bench.all)
+
+let smoke_arg =
+  Arg.(value & flag & info [ "smoke" ] ~doc:"Run the scaled-down preset (seconds, used by the tests).")
+
+let preset smoke = if smoke then Entry.Smoke else Entry.Full
 
 let dir_arg =
   Arg.(required & opt (some string) None & info [ "dir"; "d" ] ~docv:"DIR"
@@ -461,33 +425,29 @@ let dir_arg =
 
 let json_out_arg =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-       ~doc:"Also write the figure's JSON to FILE.")
+       ~doc:"Also write the entry's JSON to FILE.")
 
-let emit_output out (o : Figures.output) =
-  print_string o.Figures.text;
+let emit_output out (o : Entry.output) =
+  print_string o.Entry.text;
   match out with
   | None -> ()
   | Some path ->
     let oc = open_out path in
-    output_string oc (Obs.Json.to_string o.Figures.json);
+    output_string oc (Obs.Json.to_string o.Entry.json);
     output_char oc '\n';
     close_out oc
 
 let record_cmd =
-  let run fig smoke every dir out jobs =
+  let run entry smoke every dir out jobs =
     if every < 1 then begin
       Fmt.epr "error: --every must be >= 1@.";
       exit 2
     end;
-    let preset = if smoke then Figures.Smoke else Figures.Full in
-    emit_output out (Record.record ~jobs ~every ~dir fig preset)
+    emit_output out (Record.record ~jobs ~every ~dir entry (preset smoke))
   in
-  let fig =
-    Arg.(required & pos 0 (some figure_arg) None & info [] ~docv:"FIGURE"
-         ~doc:"Figure to record (fig4 or fig6).")
-  in
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ] ~doc:"Record the scaled-down preset (seconds).")
+  let entry =
+    Arg.(required & pos 0 (some entry_arg) None & info [] ~docv:"NAME"
+         ~doc:"Registry entry to record (any $(b,bench) name).")
   in
   let every =
     Arg.(value & opt int 4 & info [ "every" ] ~docv:"N"
@@ -496,10 +456,10 @@ let record_cmd =
   Cmd.v
     (Cmd.info "record"
        ~doc:
-         "Run a figure experiment with periodic checkpoints, so an interrupted run can be \
-          resumed with $(b,replay). Prints the figure; checkpoints and the manifest go to \
+         "Run a registry entry with periodic checkpoints, so an interrupted run can be resumed \
+          with $(b,replay). Prints the entry's text; checkpoints and the manifest go to \
           $(b,--dir).")
-    Term.(const run $ fig $ smoke $ every $ dir_arg $ json_out_arg $ jobs_arg)
+    Term.(const run $ entry $ smoke_arg $ every $ dir_arg $ json_out_arg $ jobs_arg)
 
 let replay_cmd =
   let run dir from_ out jobs =
@@ -518,9 +478,10 @@ let replay_cmd =
   Cmd.v
     (Cmd.info "replay"
        ~doc:
-         "Resume a recorded figure run from its nearest checkpoint and re-render it. Stdout is \
+         "Resume a recorded run from its nearest checkpoint and re-render it. Stdout is \
           byte-identical to the uninterrupted $(b,record) output at any $(b,--from) and \
-          $(b,--jobs); the resume position is reported on stderr.")
+          $(b,--jobs) (for a host-timed entry, when resuming from the last checkpoint); the \
+          resume position is reported on stderr.")
     Term.(const run $ dir_arg $ from_ $ json_out_arg $ jobs_arg)
 
 let shrink_cmd =
@@ -586,68 +547,42 @@ let shrink_cmd =
           $ no_drop $ no_stall $ no_retry $ every $ out)
 
 let bench_cmd =
-  let run mode smoke out =
-    match mode with
-    | "wallclock" ->
-      let preset = if smoke then Semper_harness.Wallclock.Smoke else Semper_harness.Wallclock.Full in
-      Semper_harness.Wallclock.run ~preset ?path:out ()
-    | "balance" ->
-      let preset = if smoke then Semper_harness.Skew.Smoke else Semper_harness.Skew.Full in
-      Semper_harness.Skew.bench ~preset ?path:out ()
-    | "fleet" ->
-      let preset =
-        if smoke then Semper_harness.Fleetbench.Smoke else Semper_harness.Fleetbench.Full
-      in
-      Semper_harness.Fleetbench.bench ~preset ?path:out ()
-    | "batch" ->
-      let preset =
-        if smoke then Semper_harness.Batchbench.Smoke else Semper_harness.Batchbench.Full
-      in
-      Semper_harness.Batchbench.run ~preset ?path:out ()
-    | "scale" ->
-      let preset = if smoke then Semper_harness.Scale.Smoke else Semper_harness.Scale.Full in
-      Semper_harness.Scale.run ~preset ?path:out ()
-    | "engine" ->
-      let preset =
-        if smoke then Semper_harness.Enginebench.Smoke else Semper_harness.Enginebench.Full
-      in
-      Semper_harness.Enginebench.run ~preset ?path:out ()
-    | m ->
-      Fmt.epr
-        "error: unknown bench mode %S (expected: wallclock, balance, fleet, batch, scale, or \
-         engine)@."
-        m;
+  let run entry smoke out jobs =
+    let entries = match entry with Some e -> [ e ] | None -> Bench.paper in
+    if Option.is_some out && Option.is_none entry then begin
+      Fmt.epr "error: --output needs a single entry@.";
       exit 2
+    end;
+    List.iter
+      (fun e ->
+        let o = Entry.run ~jobs e (preset smoke) in
+        print_string o.Entry.text;
+        match (out, e) with
+        | Some path, _ -> Bench_json.write ~path o.Entry.json
+        | None, Entry.E { shape = Some _; _ } -> Bench_json.write ~path:(Bench.path e) o.Entry.json
+        | None, _ -> ())
+      entries
   in
-  let mode =
-    Arg.(value & pos 0 string "wallclock" & info [] ~docv:"MODE"
-         ~doc:
-           "Benchmark mode: $(b,wallclock), $(b,balance), $(b,fleet), $(b,batch), $(b,scale), \
-            or $(b,engine).")
-  in
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ]
-         ~doc:"Run the scaled-down preset (seconds, used by the test suite).")
+  let entry =
+    let names = Arg.enum (("all", None) :: List.map (fun e -> (Entry.name e, Some e)) Bench.all) in
+    Arg.(required & pos 0 (some names) None & info [] ~docv:"NAME"
+         ~doc:"Registry entry, or $(b,all) for every paper table and figure.")
   in
   let out =
     Arg.(value & opt (some string) None & info [ "output"; "o" ] ~docv:"FILE"
-         ~doc:"Write the JSON report to FILE (default BENCH_<mode>.json).")
+         ~doc:"Write the JSON report to FILE (default for a deliverable: BENCH_<name>.json).")
   in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Standalone benchmark deliverables. $(b,wallclock) measures the simulator's own \
-          host throughput (events/s; host-dependent by construction, the only output exempt \
-          from the byte-identity contract). $(b,balance) runs the skewed-workload load-balancer \
-          ablation (BENCH_balance.json). $(b,fleet) runs the elastic-fleet autoscaling benchmark \
-          (BENCH_fleet.json): an overloaded two-kernel system scaling out to absorb a surge and \
-          back, with per-transition safety checks. $(b,batch) runs every workload with IKC batching off \
-          and on (BENCH_batch.json); both are deterministic. $(b,scale) measures throughput, \
-          heap, GC, and audit cost at 1K/2K/4K PEs (BENCH_scale.json; host-dependent like \
-          wallclock). $(b,engine) measures schedule/cancel/drain throughput of the engine's \
-          timer-wheel event queue at 1K-1M pending events (BENCH_engine.json; \
-          host-dependent).")
-    Term.(const run $ mode $ smoke $ out)
+         (Fmt.str
+            "Regenerate a table, figure, ablation or BENCH_*.json deliverable of the registry. \
+             $(b,all) prints the paper's tables and figures in order; a deliverable also writes \
+             its JSON report. Every output except the host-timed $(b,wallclock), $(b,scale) and \
+             $(b,engine) is byte-identical at any $(b,--jobs). Entries: %s."
+            (String.concat "; "
+               (List.map (fun (Entry.E e) -> Fmt.str "$(b,%s) %s" e.name e.doc) Bench.all))))
+    Term.(const run $ entry $ smoke_arg $ out $ jobs_arg)
 
 let nginx_cmd =
   let run mode kernels services servers =

@@ -29,9 +29,12 @@
     - {!Fleet}, {!Fleetbench}: the elastic kernel fleet (runtime
       join/drain/leave with live partition rebalancing, plus the
       occupancy-driven autoscaler) and its autoscaling benchmark.
-    - {!Domain_pool}, {!Runner}, {!Bench_json}: the parallel experiment
-      runner — independent runs fan out over OCaml domains with
-      deterministic, submission-order result collection. *)
+    - {!Entry}, {!Figures}, {!Bench}, {!Record}, {!Bench_json}: the
+      experiment registry — one entry per table, figure, ablation and
+      BENCH_*.json deliverable, whose independent points fan out over
+      OCaml domains ({!Domain_pool}) with deterministic,
+      submission-order result collection, and whose runs can be
+      recorded and resumed. *)
 
 module Engine = Semper_sim.Engine
 module Server = Semper_sim.Server
@@ -73,8 +76,9 @@ module Audit = Semper_harness.Audit
 module Fuzz = Semper_harness.Fuzz
 module Microbench = Semper_harness.Microbench
 module Nginx_bench = Semper_harness.Nginx
-module Runner = Semper_harness.Runner
+module Entry = Semper_harness.Entry
 module Figures = Semper_harness.Figures
+module Bench = Semper_harness.Bench
 module Record = Semper_harness.Record
 module Bench_json = Semper_harness.Bench_json
 module Wallclock = Semper_harness.Wallclock

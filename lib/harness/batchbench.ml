@@ -2,8 +2,9 @@
     with slot-window coalescing off and on, reporting simulated cycles
     and inter-kernel message counts side by side.
 
-    Everything runs serially and the simulator is seeded, so the
-    emitted JSON is byte-identical across runs and [--jobs] values. *)
+    Every workload runs on private systems and the simulator is
+    seeded, so the emitted JSON is byte-identical across runs and
+    [--jobs] values. *)
 
 module System = Semper_kernel.System
 module Kernel = Semper_kernel.Kernel
@@ -12,7 +13,6 @@ module Vpe = Semper_kernel.Vpe
 module Cost = Semper_kernel.Cost
 module Perms = Semper_caps.Perms
 module Obs = Semper_obs.Obs
-module T = Semper_util.Table
 
 type sample = {
   b_name : string;
@@ -23,8 +23,6 @@ type sample = {
   b_batches : int;  (** framed multi-messages shipped, batching on *)
   b_batched_msgs : int;  (** inner messages those frames carried *)
 }
-
-type preset = Full | Smoke
 
 let await sys result =
   ignore (System.run sys);
@@ -166,18 +164,22 @@ let burst ~n =
       ignore (System.run sys);
       Int64.sub (System.now sys) t0)
 
-let samples ?(preset = Full) () =
-  match preset with
-  | Full ->
-    [
-      chain ~len:20;
-      chain ~len:60;
-      chain ~len:100;
-      tree ~extra_kernels:12 ~children:48;
-      tree ~extra_kernels:12 ~children:128;
-      burst ~n:32;
-    ]
-  | Smoke -> [ chain ~len:10; tree ~extra_kernels:4 ~children:16; burst ~n:8 ]
+type point = Chain of int | Tree of int * int | Burst of int
+
+let points = function
+  | Entry.Full ->
+    [ Chain 20; Chain 60; Chain 100; Tree (12, 48); Tree (12, 128); Burst 32 ]
+  | Smoke -> [ Chain 10; Tree (4, 16); Burst 8 ]
+
+let compute = function
+  | Chain len -> chain ~len
+  | Tree (extra_kernels, children) -> tree ~extra_kernels ~children
+  | Burst n -> burst ~n
+
+let speedup s =
+  if Int64.compare s.b_on_cycles 0L > 0 then
+    Int64.to_float s.b_off_cycles /. Int64.to_float s.b_on_cycles
+  else 1.0
 
 let sample_json s =
   Obs.Json.Obj
@@ -189,42 +191,68 @@ let sample_json s =
       ("ikc_on", Obs.Json.Int s.b_on_ikc);
       ("batches_sent", Obs.Json.Int s.b_batches);
       ("batched_msgs", Obs.Json.Int s.b_batched_msgs);
-      ( "speedup",
-        Obs.Json.Float
-          (if Int64.compare s.b_on_cycles 0L > 0 then
-             Int64.to_float s.b_off_cycles /. Int64.to_float s.b_on_cycles
-           else 1.0) );
+      ("speedup", Obs.Json.Float (speedup s));
     ]
 
-let json samples =
-  Obs.Json.Obj
-    [
-      ("schema", Obs.Json.Str "semperos-batch-1");
-      ("jobs", Obs.Json.Int 1);
-      ("samples", Obs.Json.Arr (List.map sample_json samples));
-    ]
+let render _ samples =
+  {
+    Entry.text =
+      Entry.text
+        [
+          {
+            title = "IKC batching: same workload with slot-window coalescing off / on";
+            header =
+              [
+                "workload"; "cycles_off"; "cycles_on"; "speedup"; "ikc_off"; "ikc_on"; "frames";
+                "framed_msgs";
+              ];
+            rows =
+              List.map
+                (fun s ->
+                  [
+                    s.b_name;
+                    Int64.to_string s.b_off_cycles;
+                    Int64.to_string s.b_on_cycles;
+                    Printf.sprintf "%.2fx" (speedup s);
+                    string_of_int s.b_off_ikc;
+                    string_of_int s.b_on_ikc;
+                    string_of_int s.b_batches;
+                    string_of_int s.b_batched_msgs;
+                  ])
+                samples;
+          };
+        ];
+    json =
+      Obs.Json.Obj
+        [
+          ("schema", Obs.Json.Str "semperos-batch-1");
+          ("jobs", Obs.Json.Int 1);
+          ("samples", Obs.Json.Arr (List.map sample_json samples));
+        ];
+  }
 
-let print samples =
-  T.print ~title:"IKC batching: same workload with slot-window coalescing off / on"
-    ~header:[ "workload"; "cycles_off"; "cycles_on"; "speedup"; "ikc_off"; "ikc_on"; "frames"; "framed_msgs" ]
-    (List.map
-       (fun s ->
-         [
-           s.b_name;
-           Int64.to_string s.b_off_cycles;
-           Int64.to_string s.b_on_cycles;
-           Printf.sprintf "%.2fx"
-             (if Int64.compare s.b_on_cycles 0L > 0 then
-                Int64.to_float s.b_off_cycles /. Int64.to_float s.b_on_cycles
-              else 1.0);
-           string_of_int s.b_off_ikc;
-           string_of_int s.b_on_ikc;
-           string_of_int s.b_batches;
-           string_of_int s.b_batched_msgs;
-         ])
-       samples)
-
-let run ?(preset = Full) ?(path = "BENCH_batch.json") () =
-  let ss = samples ~preset () in
-  print ss;
-  Bench_json.write ~path (json ss)
+let entry =
+  {
+    Entry.name = "batch";
+    doc = "BENCH_batch.json: chain, tree and burst workloads with IKC batching off and on";
+    points;
+    compute;
+    render;
+    host_timed = false;
+    shape =
+      Some
+        {
+          Entry.schema = "semperos-batch-1";
+          keys =
+            [
+              ("jobs", Entry.Any);
+              ( "samples",
+                Entry.Rows
+                  (Entry.leaves
+                     [
+                       "name"; "cycles_off"; "cycles_on"; "ikc_off"; "ikc_on"; "batches_sent";
+                       "batched_msgs"; "speedup";
+                     ]) );
+            ];
+        };
+  }

@@ -3,8 +3,9 @@
     obtains, each run with slot-window coalescing off and on. Reports
     simulated cycles and inter-kernel message counts side by side.
 
-    Everything runs serially and the simulator is seeded, so the
-    emitted JSON is byte-identical across runs and [--jobs] values. *)
+    Every workload runs on private systems and the simulator is
+    seeded, so the emitted JSON is byte-identical across runs and
+    [--jobs] values. *)
 
 type sample = {
   b_name : string;
@@ -16,12 +17,9 @@ type sample = {
   b_batched_msgs : int;  (** inner messages those frames carried *)
 }
 
-type preset = Full | Smoke
+(** One workload, run once with batching off and once on. *)
+type point
 
-val samples : ?preset:preset -> unit -> sample list
-val json : sample list -> Semper_obs.Obs.Json.t
-val print : sample list -> unit
-
-(** Print the table and write the JSON to [path] (default
-    [BENCH_batch.json]). *)
-val run : ?preset:preset -> ?path:string -> unit -> unit
+(** The [batch] deliverable ([BENCH_batch.json], schema
+    [semperos-batch-1]). *)
+val entry : (point, sample) Entry.spec

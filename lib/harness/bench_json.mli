@@ -1,12 +1,10 @@
-(** Machine-readable benchmark export (BENCH_micro.json /
-    BENCH_apps.json).
+(** The headline-number deliverables, BENCH_micro.json and
+    BENCH_apps.json, and the writer every BENCH file goes through.
 
     Built with the deterministic {!Semper_obs.Obs.Json} emitter: keys
     are emitted in a fixed order and the simulator is seeded, so
     repeated runs produce byte-identical files that CI can diff against
-    the committed baselines. Runs fan out across domains via
-    {!Semper_util.Domain_pool}; the emitted JSON is identical for any
-    job count. *)
+    the committed baselines, at any job count. *)
 
 (** Table 3 + Figure 4 headline numbers. [lens] are the chain lengths
     sampled for Figure 4 (default [0; 20; 40; 60; 80; 100]). *)
@@ -19,19 +17,10 @@ val micro : ?jobs:int -> ?lens:int list -> unit -> Semper_obs.Obs.Json.t
 val apps :
   ?jobs:int -> ?workloads:Semper_trace.Workloads.spec list -> unit -> Semper_obs.Obs.Json.t
 
+(** The [micro] and [apps] registry entries ({!micro} and {!apps} at
+    their defaults for [Full]). *)
+val entries : Entry.t list
+
 (** Write a JSON document to [path] with a trailing newline and print
     "wrote [path]". *)
 val write : path:string -> Semper_obs.Obs.Json.t -> unit
-
-(** Check a parsed benchmark document against the registry of known
-    shapes, keyed on its ["schema"] field — required top-level keys
-    and, for each row array, the keys every element must carry (extra
-    keys are allowed: adding a column is not a schema break, dropping
-    one is). [BENCH_micro.json] and [BENCH_apps.json] predate the
-    [schema] field and are keyed on [Filename.basename path] instead.
-    Unknown schemas are an error, so every new document family must
-    register its shape here. *)
-val validate : ?path:string -> Semper_obs.Obs.Json.t -> (unit, string) result
-
-(** [validate] applied to the parsed contents of a file. *)
-val validate_file : string -> (unit, string) result

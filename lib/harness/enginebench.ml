@@ -1,6 +1,5 @@
 module Engine = Semper_sim.Engine
 module Obs = Semper_obs.Obs
-module T = Semper_util.Table
 
 type sample = {
   s_op : string;
@@ -9,10 +8,8 @@ type sample = {
   s_ops_per_s : float;
 }
 
-type preset = Full | Smoke
-
 let sizes_of_preset = function
-  | Full -> [ 1_000; 100_000; 1_000_000 ]
+  | Entry.Full -> [ 1_000; 100_000; 1_000_000 ]
   | Smoke -> [ 1_000; 10_000 ]
 
 (* Event times spread over an 8n-cycle window by a fixed odd stride:
@@ -51,20 +48,14 @@ let measure_op op n =
 
 let ops = [ "schedule"; "cancel"; "drain" ]
 
-let samples ?(preset = Full) () =
-  List.concat_map
-    (fun n ->
-      List.map
-        (fun op ->
-          let wall = measure_op op n in
-          {
-            s_op = op;
-            s_pending = n;
-            s_wall_s = wall;
-            s_ops_per_s = (if wall > 0.0 then float_of_int n /. wall else 0.0);
-          })
-        ops)
-    (sizes_of_preset preset)
+let measure (op, n) =
+  let wall = measure_op op n in
+  {
+    s_op = op;
+    s_pending = n;
+    s_wall_s = wall;
+    s_ops_per_s = (if wall > 0.0 then float_of_int n /. wall else 0.0);
+  }
 
 let sample_json s =
   Obs.Json.Obj
@@ -77,27 +68,52 @@ let sample_json s =
       ("ops_per_s", Obs.Json.Float s.s_ops_per_s);
     ]
 
-let json samples =
-  Obs.Json.Obj
-    [
-      ("schema", Obs.Json.Str "semperos-engine-1");
-      ("samples", Obs.Json.Arr (List.map sample_json samples));
-    ]
+let render _ samples =
+  {
+    Entry.text =
+      Entry.text
+        [
+          {
+            title = "Engine event queue: schedule/cancel/drain throughput (host-dependent)";
+            header = [ "pending"; "op"; "wall_s"; "ops/s" ];
+            rows =
+              List.map
+                (fun s ->
+                  [
+                    string_of_int s.s_pending;
+                    s.s_op;
+                    Printf.sprintf "%.4f" s.s_wall_s;
+                    Printf.sprintf "%.0f" s.s_ops_per_s;
+                  ])
+                samples;
+          };
+        ];
+    json =
+      Obs.Json.Obj
+        [
+          ("schema", Obs.Json.Str "semperos-engine-1");
+          ("samples", Obs.Json.Arr (List.map sample_json samples));
+        ];
+  }
 
-let print samples =
-  T.print ~title:"Engine event queue: schedule/cancel/drain throughput (host-dependent)"
-    ~header:[ "pending"; "op"; "wall_s"; "ops/s" ]
-    (List.map
-       (fun s ->
-         [
-           string_of_int s.s_pending;
-           s.s_op;
-           Printf.sprintf "%.4f" s.s_wall_s;
-           Printf.sprintf "%.0f" s.s_ops_per_s;
-         ])
-       samples)
-
-let run ?(preset = Full) ?(path = "BENCH_engine.json") () =
-  let ss = samples ~preset () in
-  print ss;
-  Bench_json.write ~path (json ss)
+let entry =
+  {
+    Entry.name = "engine";
+    doc = "BENCH_engine.json: event-queue schedule/cancel/drain throughput at 1K-1M pending events";
+    points =
+      (fun preset ->
+        List.concat_map (fun n -> List.map (fun op -> (op, n)) ops) (sizes_of_preset preset));
+    compute = measure;
+    render;
+    host_timed = true;
+    shape =
+      Some
+        {
+          Entry.schema = "semperos-engine-1";
+          keys =
+            [
+              ( "samples",
+                Entry.Rows (Entry.leaves [ "backend"; "op"; "pending"; "wall_s"; "ops_per_s" ]) );
+            ];
+        };
+  }

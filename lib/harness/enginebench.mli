@@ -18,21 +18,8 @@ type sample = {
   s_ops_per_s : float;  (** [s_pending / s_wall_s] *)
 }
 
-type preset =
-  | Full  (** 1K / 100K / 1M pending events *)
-  | Smoke  (** 1K / 10K, for the [@engine-smoke] test *)
-
-(** Run the preset's measurements: for every size, schedule that many
-    events, cancel that many cancellable ones, and drain a full queue
-    of them. *)
-val samples : ?preset:preset -> unit -> sample list
-
-(** Deterministically ordered JSON document for a measured run. *)
-val json : sample list -> Semper_obs.Obs.Json.t
-
-(** Render the samples as a table on stdout. *)
-val print : sample list -> unit
-
-(** [samples] + [print] + write JSON to [path]
-    (default ["BENCH_engine.json"]). *)
-val run : ?preset:preset -> ?path:string -> unit -> unit
+(** The [engine] deliverable: for every size ([Full]: 1K / 100K / 1M
+    pending events, [Smoke]: 1K / 10K), schedule that many events,
+    cancel that many cancellable ones, and drain a full queue of them.
+    A point is an operation name and a size. *)
+val entry : (string * int, sample) Entry.spec

@@ -182,11 +182,6 @@ let run cfg =
     snapshot = Obs.Registry.snapshot (System.obs sys);
   }
 
-(* Each run builds a private system (engine, fabric, registry), so a
-   config list is an embarrassingly parallel workload. Outcomes come
-   back in submission order — parallelism never reorders results. *)
-let run_many ?jobs cfgs = Semper_util.Domain_pool.map ?jobs run cfgs
-
 let parallel_efficiency ~single ~parallel =
   if parallel.mean_runtime <= 0.0 then 0.0
   else Int64.to_float single.max_runtime /. parallel.mean_runtime

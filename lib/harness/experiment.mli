@@ -66,11 +66,6 @@ type outcome = {
     reports errors — the trace player "checks for correct execution". *)
 val run : config -> outcome
 
-(** Run independent configurations across OCaml domains (default: all
-    available cores; [jobs:1] = serial). Outcomes are returned in
-    submission order, so results are identical for any job count. *)
-val run_many : ?jobs:int -> config list -> outcome list
-
 (** [parallel_efficiency ~single ~parallel] is T1 / mean(TN), the
     paper's scalability metric (§5.3.1). *)
 val parallel_efficiency : single:outcome -> parallel:outcome -> float

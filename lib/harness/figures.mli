@@ -1,45 +1,11 @@
-(** Recordable figure experiments.
+(** The paper's evaluation (§5) as registry entries: Table 3, Figures
+    4-10, Table 4 and the ablations (DESIGN.md). Each prints the rows
+    or series the paper reports; EXPERIMENTS.md records paper against
+    measured. Their JSON is the printed tables ({!Entry.tables}).
 
-    Each figure is a flat list of {e points} (pure-data specs), a pure
-    [compute] from point to result, and a [render] from the complete
-    result list to the figure's text (an aligned table or series) and
-    JSON. This shape is what makes figure runs checkpointable: a
-    recording ({!Record}) computes points in order, periodically saving
-    the result prefix, and a replay resumes from any prefix — the final
-    rendering depends only on the result list, so an interrupted-and-
-    resumed run is byte-identical to an uninterrupted one. *)
+    The [Full] preset is the paper's sweep; [Smoke] runs the same code
+    on a few tiny points, in well under a second. *)
 
-type preset = Smoke | Full
-
-val preset_to_string : preset -> string
-val preset_of_string : string -> preset option
-
-type output = {
-  text : string;  (** the rendered table/series, as printed by the CLI *)
-  json : Semper_obs.Obs.Json.t;  (** the same data as a JSON object *)
-}
-
-type point = P_chain of Microbench.chain_spec | P_app of Experiment.config
-
-type result = R_cycles of int64 | R_app of Experiment.outcome
-
-(** Run one point's simulation. Pure in the point: equal points give
-    equal results. *)
-val compute : point -> result
-
-type t = {
-  name : string;
-  doc : string;
-  points : preset -> point list;
-  render : result list -> output;
-}
-
-(** The recordable figures: [fig4] (chain revocation sweep) and [fig6]
-    (application benchmark grid). *)
-val all : t list
-
-val find : string -> t option
-
-(** Uninterrupted reference run: compute every point (fanned out over
-    domains, results in point order) and render. *)
-val run : ?jobs:int -> t -> preset -> output
+(** [table3 fig4 fig5 table4 fig6 fig7 fig8 fig9 fig10 ablations], in
+    this order. *)
+val all : Entry.t list

@@ -12,7 +12,6 @@ module Client = Semper_m3fs.Client
 module Balance = Semper_balance.Balance
 module Fleet = Semper_fleet.Fleet
 module Obs = Semper_obs.Obs
-module T = Semper_util.Table
 
 type config = {
   boot : int;  (** kernels Active at boot *)
@@ -261,10 +260,10 @@ let run ?(elastic = true) cfg =
 (* --------------------------------------------------------------- *)
 (* Benchmark: fixed two-kernel fleet vs elastic autoscaling         *)
 
-type preset = Full | Smoke
+type point = Entry.preset * bool * config
 
 let config_of_preset = function
-  | Full -> default_config
+  | Entry.Full -> default_config
   | Smoke ->
     {
       default_config with
@@ -275,6 +274,10 @@ let config_of_preset = function
       surge_rounds = 14;
       pes_per_kernel = 6;
     }
+
+let points preset =
+  let cfg = config_of_preset preset in
+  [ (preset, false, cfg); (preset, true, cfg) ]
 
 let side_json (r : result) =
   Obs.Json.Obj
@@ -308,93 +311,124 @@ let side_json (r : result) =
              r.transitions) );
     ]
 
-let bench ?(preset = Full) ?(path = "BENCH_fleet.json") () =
-  let cfg = config_of_preset preset in
-  let fixed = run ~elastic:false cfg in
-  let elastic = run ~elastic:true cfg in
-  let fail_on who (r : result) =
-    if r.audit_errors <> [] then
-      failwith
-        (Printf.sprintf "Fleetbench.bench: %s: capability audit failed: %s" who
-           (String.concat "; " r.audit_errors));
-    if r.transition_errors <> [] then
-      failwith
-        (Printf.sprintf "Fleetbench.bench: %s: transition checks failed: %s" who
-           (String.concat "; " r.transition_errors))
-  in
-  fail_on "fixed" fixed;
-  fail_on "elastic" elastic;
-  (if elastic.final_active <> cfg.boot then
-     failwith
-       (Printf.sprintf "Fleetbench.bench: fleet settled at %d active kernels, expected %d"
-          elastic.final_active cfg.boot));
-  let joins =
-    List.length
-      (List.filter (fun (t : Fleet.Auto.transition) -> t.Fleet.Auto.t_kind = `Join)
-         elastic.transitions)
-  in
-  let drains = List.length elastic.transitions - joins in
-  let speedup =
-    if elastic.completion > 0L then
-      Int64.to_float fixed.completion /. Int64.to_float elastic.completion
-    else 0.0
-  in
-  (* The surge phase is where the extra kernels earn their keep — base
-     clients are compute-bound either way. *)
-  let surge_speedup =
-    if elastic.surge_done > 0L then
-      Int64.to_float fixed.surge_done /. Int64.to_float elastic.surge_done
-    else 0.0
-  in
-  let row name (r : result) =
-    [
-      name;
-      Int64.to_string r.completion;
-      Int64.to_string r.surge_done;
-      string_of_int r.peak_active;
-      string_of_int r.final_active;
-      string_of_int (List.length r.transitions);
-      Int64.to_string r.max_wave;
-    ]
-  in
-  T.print
-    ~title:
-      (Printf.sprintf
-         "Elastic fleet: %d+%d surge clients on %d boot kernels, %d spares (autoscaler %s)"
-         cfg.base_clients cfg.surge_clients cfg.boot cfg.spares
-         (match preset with Full -> "full" | Smoke -> "smoke"))
-    ~header:[ "fleet"; "completion"; "surge done"; "peak act"; "final act"; "transitions"; "max wave" ]
-    [ row "fixed" fixed; row "elastic" elastic ];
-  Printf.printf
-    "  %d joins, %d drains; surge speedup %.2fx, completion speedup %.2fx; max stall %Ld cycles\n%!"
-    joins drains surge_speedup speedup elastic.max_wave;
-  Bench_json.write ~path
-    (Obs.Json.Obj
-       [
-         ("schema", Obs.Json.Str "semperos-fleet-1");
-         ( "config",
-           Obs.Json.Obj
-             [
-               ("boot_kernels", Obs.Json.Int cfg.boot);
-               ("spare_kernels", Obs.Json.Int cfg.spares);
-               ("base_clients", Obs.Json.Int cfg.base_clients);
-               ("surge_clients", Obs.Json.Int cfg.surge_clients);
-               ("base_rounds", Obs.Json.Int cfg.base_rounds);
-               ("surge_rounds", Obs.Json.Int cfg.surge_rounds);
-               ("compute_cycles", Obs.Json.Int (Int64.to_int cfg.compute));
-               ("surge_compute_cycles", Obs.Json.Int (Int64.to_int cfg.surge_compute));
-               ("interval_cycles", Obs.Json.Int (Int64.to_int cfg.interval));
-               ("high_water", Obs.Json.Float cfg.policy.Balance.Fleet_policy.high);
-               ("low_water", Obs.Json.Float cfg.policy.Balance.Fleet_policy.low);
-             ] );
-         ("fixed", side_json fixed);
-         ("elastic", side_json elastic);
-         ( "improvement",
-           Obs.Json.Obj
-             [
-               ("completion_speedup", Obs.Json.Float speedup);
-               ("surge_speedup", Obs.Json.Float surge_speedup);
-               ("joins", Obs.Json.Int joins);
-               ("drains", Obs.Json.Int drains);
-             ] );
-       ])
+let render pts rs =
+  match List.combine pts rs with
+  | [ ((preset, _, cfg), fixed); (_, elastic) ] ->
+    let fail_on who (r : result) =
+      if r.audit_errors <> [] then
+        failwith
+          (Printf.sprintf "fleet: %s: capability audit failed: %s" who
+             (String.concat "; " r.audit_errors));
+      if r.transition_errors <> [] then
+        failwith
+          (Printf.sprintf "fleet: %s: transition checks failed: %s" who
+             (String.concat "; " r.transition_errors))
+    in
+    fail_on "fixed" fixed;
+    fail_on "elastic" elastic;
+    (if elastic.final_active <> cfg.boot then
+       failwith
+         (Printf.sprintf "fleet: settled at %d active kernels, expected %d"
+            elastic.final_active cfg.boot));
+    let joins =
+      List.length
+        (List.filter (fun (t : Fleet.Auto.transition) -> t.Fleet.Auto.t_kind = `Join)
+           elastic.transitions)
+    in
+    let drains = List.length elastic.transitions - joins in
+    let speedup =
+      if elastic.completion > 0L then
+        Int64.to_float fixed.completion /. Int64.to_float elastic.completion
+      else 0.0
+    in
+    (* The surge phase is where the extra kernels earn their keep — base
+       clients are compute-bound either way. *)
+    let surge_speedup =
+      if elastic.surge_done > 0L then
+        Int64.to_float fixed.surge_done /. Int64.to_float elastic.surge_done
+      else 0.0
+    in
+    let row name (r : result) =
+      [
+        name;
+        Int64.to_string r.completion;
+        Int64.to_string r.surge_done;
+        string_of_int r.peak_active;
+        string_of_int r.final_active;
+        string_of_int (List.length r.transitions);
+        Int64.to_string r.max_wave;
+      ]
+    in
+    {
+      Entry.text =
+        Entry.text
+          [
+            {
+              title =
+                Printf.sprintf
+                  "Elastic fleet: %d+%d surge clients on %d boot kernels, %d spares (autoscaler %s)"
+                  cfg.base_clients cfg.surge_clients cfg.boot cfg.spares
+                  (Entry.preset_to_string preset);
+              header =
+                [ "fleet"; "completion"; "surge done"; "peak act"; "final act"; "transitions"; "max wave" ];
+              rows = [ row "fixed" fixed; row "elastic" elastic ];
+            };
+          ]
+        ^ Printf.sprintf
+            "  %d joins, %d drains; surge speedup %.2fx, completion speedup %.2fx; max stall %Ld cycles\n"
+            joins drains surge_speedup speedup elastic.max_wave;
+      json =
+        Obs.Json.Obj
+          [
+            ("schema", Obs.Json.Str "semperos-fleet-1");
+            ( "config",
+              Obs.Json.Obj
+                [
+                  ("boot_kernels", Obs.Json.Int cfg.boot);
+                  ("spare_kernels", Obs.Json.Int cfg.spares);
+                  ("base_clients", Obs.Json.Int cfg.base_clients);
+                  ("surge_clients", Obs.Json.Int cfg.surge_clients);
+                  ("base_rounds", Obs.Json.Int cfg.base_rounds);
+                  ("surge_rounds", Obs.Json.Int cfg.surge_rounds);
+                  ("compute_cycles", Obs.Json.Int (Int64.to_int cfg.compute));
+                  ("surge_compute_cycles", Obs.Json.Int (Int64.to_int cfg.surge_compute));
+                  ("interval_cycles", Obs.Json.Int (Int64.to_int cfg.interval));
+                  ("high_water", Obs.Json.Float cfg.policy.Balance.Fleet_policy.high);
+                  ("low_water", Obs.Json.Float cfg.policy.Balance.Fleet_policy.low);
+                ] );
+            ("fixed", side_json fixed);
+            ("elastic", side_json elastic);
+            ( "improvement",
+              Obs.Json.Obj
+                [
+                  ("completion_speedup", Obs.Json.Float speedup);
+                  ("surge_speedup", Obs.Json.Float surge_speedup);
+                  ("joins", Obs.Json.Int joins);
+                  ("drains", Obs.Json.Int drains);
+                ] );
+          ];
+    }
+  | _ -> invalid_arg "Fleetbench: result shape mismatch"
+
+let entry =
+  let side = Entry.Keys (Entry.leaves [ "peak_active"; "max_wave_cycles"; "transitions" ]) in
+  {
+    Entry.name = "fleet";
+    doc = "BENCH_fleet.json: a fixed two-kernel fleet against elastic autoscaling under a surge";
+    points;
+    compute = (fun (_, elastic, cfg) -> run ~elastic cfg);
+    render;
+    host_timed = false;
+    shape =
+      Some
+        {
+          Entry.schema = "semperos-fleet-1";
+          keys =
+            [
+              ("config", Entry.Any);
+              ("fixed", side);
+              ("elastic", side);
+              ("improvement", Entry.Keys (Entry.leaves [ "surge_speedup" ]));
+            ];
+        };
+  }

@@ -55,12 +55,13 @@ type result = {
     baseline; spares stay idle). Deterministic for a given config. *)
 val run : ?elastic:bool -> config -> result
 
-type preset = Full | Smoke
+val config_of_preset : Entry.preset -> config
 
-val config_of_preset : preset -> config
+(** The fixed baseline and the elastic run, on one configuration. *)
+type point
 
-(** Run fixed and elastic back to back, print the comparison, fail on
-    any audit or transition-check violation (or if the fleet does not
-    settle back at the boot size), and write [BENCH_fleet.json]
-    (schema [semperos-fleet-1]). *)
-val bench : ?preset:preset -> ?path:string -> unit -> unit
+(** The [fleet] deliverable: runs fixed and elastic, prints the
+    comparison, fails on any audit or transition-check violation (or if
+    the fleet does not settle back at the boot size), and renders
+    [BENCH_fleet.json] (schema [semperos-fleet-1]). *)
+val entry : (point, result) Entry.spec

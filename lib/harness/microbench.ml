@@ -1,5 +1,5 @@
 (** Microbenchmark drivers for the paper's Table 3, Figure 4, and
-    Figure 5: shared by the bench harness and the CLI. All times are
+    Figure 5: shared by the experiment registry and the CLI. All times are
     simulated cycles measured at syscall-reply delivery, exactly like
     the paper's cycle counts. *)
 
@@ -110,14 +110,23 @@ let tree_revocation ?(batching = false) ?(broadcast = false) ?(background_caps =
   let _, cycles = timed_syscall sys root_vpe (Protocol.Sys_revoke { sel = root; own = true }) in
   cycles
 
-(* ------------------------------------------------------------------ *)
-(* Batch drivers: each point builds a private system, so a sweep fans
-   out over domains. Results come back in submission order. *)
-
-let exchange_revokes ?jobs specs =
-  Semper_util.Domain_pool.map ?jobs
-    (fun (mode, spanning) -> exchange_revoke ~mode ~spanning)
-    specs
+(* Burst of spanning obtains under the 4-message in-flight IKC limit:
+   the makespan of [n] concurrent obtains of one capability. *)
+let obtain_burst n =
+  let sys = System.create (System.config ~kernels:2 ~user_pes_per_kernel:(n + 2) ()) in
+  let donor = System.spawn_vpe sys ~kernel:0 in
+  let sel =
+    sel_of (System.syscall_sync sys donor (Protocol.Sys_alloc_mem { size = 4096L; perms = Perms.rw }))
+  in
+  let vpes = List.init n (fun _ -> System.spawn_vpe sys ~kernel:1) in
+  let t0 = System.now sys in
+  List.iter
+    (fun v ->
+      System.syscall sys v (Protocol.Sys_obtain_from { donor_vpe = donor.Vpe.id; donor_sel = sel })
+        (fun _ -> ()))
+    vpes;
+  ignore (System.run sys);
+  Int64.sub (System.now sys) t0
 
 type chain_spec = {
   c_mode : Cost.mode;
@@ -129,11 +138,8 @@ type chain_spec = {
 let chain_spec ?(batching = false) ~mode ~spanning ~len () =
   { c_mode = mode; c_spanning = spanning; c_len = len; c_batching = batching }
 
-let chain_revocations ?jobs specs =
-  Semper_util.Domain_pool.map ?jobs
-    (fun { c_mode; c_spanning; c_len; c_batching } ->
-      chain_revocation ~batching:c_batching ~mode:c_mode ~spanning:c_spanning ~len:c_len ())
-    specs
+let chain s =
+  chain_revocation ~batching:s.c_batching ~mode:s.c_mode ~spanning:s.c_spanning ~len:s.c_len ()
 
 type tree_spec = {
   t_batching : bool;
@@ -148,10 +154,6 @@ let tree_spec ?(batching = false) ?(broadcast = false) ?(background_caps = 0) ~e
   { t_batching = batching; t_broadcast = broadcast; t_background_caps = background_caps;
     t_extra_kernels = extra_kernels; t_children = children }
 
-let tree_revocations ?jobs specs =
-  Semper_util.Domain_pool.map ?jobs
-    (fun s ->
-      tree_revocation ~batching:s.t_batching ~broadcast:s.t_broadcast
-        ~background_caps:s.t_background_caps ~extra_kernels:s.t_extra_kernels
-        ~children:s.t_children ())
-    specs
+let tree s =
+  tree_revocation ~batching:s.t_batching ~broadcast:s.t_broadcast
+    ~background_caps:s.t_background_caps ~extra_kernels:s.t_extra_kernels ~children:s.t_children ()

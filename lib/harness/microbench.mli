@@ -32,16 +32,15 @@ val tree_revocation :
   unit ->
   int64
 
-(** {2 Batch drivers}
+(** [obtain_burst n] times [n] concurrent group-spanning obtains of one
+    capability (the makespan, in cycles): exchange throughput under the
+    4-message in-flight IKC credit limit (the in-flight ablation). *)
+val obtain_burst : int -> int64
 
-    Each point of a sweep builds its own private system, so the batch
-    variants fan points out across OCaml domains (default: available
-    cores; [jobs:1] = serial) and return results in submission order —
-    identical for any job count. *)
+(** {2 Run specs}
 
-(** One [(mode, spanning)] exchange+revoke measurement per element. *)
-val exchange_revokes :
-  ?jobs:int -> (Semper_kernel.Cost.mode * bool) list -> (int64 * int64) list
+    Pure-data descriptions of one run, used as the points of the
+    registry's sweeps. *)
 
 type chain_spec = {
   c_mode : Semper_kernel.Cost.mode;
@@ -58,7 +57,8 @@ val chain_spec :
   unit ->
   chain_spec
 
-val chain_revocations : ?jobs:int -> chain_spec list -> int64 list
+(** {!chain_revocation} of a spec. *)
+val chain : chain_spec -> int64
 
 type tree_spec = {
   t_batching : bool;
@@ -77,4 +77,5 @@ val tree_spec :
   unit ->
   tree_spec
 
-val tree_revocations : ?jobs:int -> tree_spec list -> int64 list
+(** {!tree_revocation} of a spec. *)
+val tree : tree_spec -> int64

@@ -8,9 +8,6 @@ module P = Semper_kernel.Protocol
 module Perms = Semper_caps.Perms
 module Workloads = Semper_trace.Workloads
 module Rng = Semper_util.Rng
-module T = Semper_util.Table
-
-type preset = Full | Smoke
 
 type row = {
   r_name : string;
@@ -51,7 +48,7 @@ type point = {
    kept 32 kernels and doubled the per-kernel load instead, which
    conflated group size with system size. *)
 let points_of_preset = function
-  | Full ->
+  | Entry.Full ->
     [
       { p_name = "1k"; p_kernels = 16; p_services = 16; p_instances = 992; p_derives = 3; p_churn_vpes = 8 };
       { p_name = "2k"; p_kernels = 32; p_services = 32; p_instances = 1984; p_derives = 3; p_churn_vpes = 8 };
@@ -75,7 +72,7 @@ type session_point = {
 }
 
 let session_points_of_preset = function
-  | Full ->
+  | Entry.Full ->
     [
       {
         s_name = "1m-sessions";
@@ -322,7 +319,7 @@ let measure_row pt =
     Engine.Totals.reset_heap_peak ();
     let p0 = Engine.Totals.processed () in
     let g0 = Gc.quick_stat () in
-    let outcomes = Experiment.run_many ~jobs:1 (mix pt) in
+    let outcomes = List.map Experiment.run (mix pt) in
     let g1 = Gc.quick_stat () in
     let events = Engine.Totals.processed () - p0 in
     let wall = List.fold_left (fun acc o -> acc +. o.Experiment.replay_wall_s) 0.0 outcomes in
@@ -358,20 +355,21 @@ let measure_row pt =
     r_audit_incremental_s = t_inc;
   }
 
-let rows ?(preset = Full) () =
-  let pts = points_of_preset preset in
+type sweep = point list * session_point list
+
+let rows ((pts, session_pts) : sweep) =
   (* One unmeasured warm-up at the largest row's scale first: it
      brings the process heap, allocator, and page tables to their
      steady state, so the first measured row is not flattered by a
      small cold heap relative to the rows measured after it. Each
      measured phase then resets the heap-peak high-water mark. *)
   (match List.rev pts with
-  | largest :: _ -> ignore (Experiment.run_many ~jobs:1 (mix largest))
+  | largest :: _ -> List.iter (fun c -> ignore (Experiment.run c)) (mix largest)
   | [] -> ());
   (* Application rows strictly first ([@] gives no evaluation-order
      guarantee): [Engine.Totals.processed] deltas must not interleave. *)
   let app = List.map measure_row pts in
-  app @ List.map measure_sessions (session_points_of_preset preset)
+  app @ List.map measure_sessions session_pts
 
 let row_json r =
   Obs.Json.Obj
@@ -396,40 +394,73 @@ let row_json r =
       ("audit_incremental_s", Obs.Json.Float r.r_audit_incremental_s);
     ]
 
-let json rows =
-  Obs.Json.Obj
-    [
-      ("schema", Obs.Json.Str "semperos-scale-2");
-      ("jobs", Obs.Json.Int 1);
-      ("rows", Obs.Json.Arr (List.map row_json rows));
-    ]
+let render _ results =
+  let rows = List.concat results in
+  {
+    Entry.text =
+      Entry.text
+        [
+          {
+            title = "Scale ceiling: application mix + audit cost vs PE count (host-dependent)";
+            header =
+              [
+                "row"; "pes"; "sessions"; "wall_s"; "events/s"; "cap_ops"; "cap_ops/s"; "heap_peak";
+                "gc_minor"; "gc_major"; "audit_full_ms"; "audit_inc_ms";
+              ];
+            rows =
+              List.map
+                (fun r ->
+                  [
+                    r.r_name;
+                    string_of_int r.r_total_pes;
+                    string_of_int r.r_sessions;
+                    Printf.sprintf "%.3f" r.r_wall_s;
+                    Printf.sprintf "%.0f" r.r_events_per_s;
+                    string_of_int r.r_cap_ops;
+                    Printf.sprintf "%.0f" r.r_cap_ops_per_s;
+                    string_of_int r.r_heap_peak;
+                    string_of_int r.r_minor_collections;
+                    string_of_int r.r_major_collections;
+                    Printf.sprintf "%.3f" (r.r_audit_full_s *. 1000.0);
+                    Printf.sprintf "%.3f" (r.r_audit_incremental_s *. 1000.0);
+                  ])
+                rows;
+          };
+        ];
+    json =
+      Obs.Json.Obj
+        [
+          ("schema", Obs.Json.Str "semperos-scale-2");
+          ("jobs", Obs.Json.Int 1);
+          ("rows", Obs.Json.Arr (List.map row_json rows));
+        ];
+  }
 
-let print rows =
-  T.print ~title:"Scale ceiling: application mix + audit cost vs PE count (host-dependent)"
-    ~header:
-      [
-        "row"; "pes"; "sessions"; "wall_s"; "events/s"; "cap_ops"; "cap_ops/s"; "heap_peak";
-        "gc_minor"; "gc_major"; "audit_full_ms"; "audit_inc_ms";
-      ]
-    (List.map
-       (fun r ->
-         [
-           r.r_name;
-           string_of_int r.r_total_pes;
-           string_of_int r.r_sessions;
-           Printf.sprintf "%.3f" r.r_wall_s;
-           Printf.sprintf "%.0f" r.r_events_per_s;
-           string_of_int r.r_cap_ops;
-           Printf.sprintf "%.0f" r.r_cap_ops_per_s;
-           string_of_int r.r_heap_peak;
-           string_of_int r.r_minor_collections;
-           string_of_int r.r_major_collections;
-           Printf.sprintf "%.3f" (r.r_audit_full_s *. 1000.0);
-           Printf.sprintf "%.3f" (r.r_audit_incremental_s *. 1000.0);
-         ])
-       rows)
-
-let run ?(preset = Full) ?(path = "BENCH_scale.json") () =
-  let rs = rows ~preset () in
-  print rs;
-  Bench_json.write ~path (json rs)
+(* A single point: the warm-up must run before the rows it warms. *)
+let entry =
+  {
+    Entry.name = "scale";
+    doc = "BENCH_scale.json: host throughput, heap, GC and audit cost at 1K, 2K and 4K PEs";
+    points = (fun preset -> [ (points_of_preset preset, session_points_of_preset preset) ]);
+    compute = rows;
+    render;
+    host_timed = true;
+    shape =
+      Some
+        {
+          Entry.schema = "semperos-scale-2";
+          keys =
+            [
+              ("jobs", Entry.Any);
+              ( "rows",
+                Entry.Rows
+                  (Entry.leaves
+                     [
+                       "name"; "total_pes"; "kernels"; "services"; "instances"; "sessions"; "wall_s";
+                       "events_processed"; "events_per_s"; "cap_ops"; "cap_ops_per_s"; "heap_peak";
+                       "gc_minor_collections"; "gc_major_collections"; "gc_promoted_words";
+                       "audit_caps"; "audit_full_s"; "audit_incremental_s";
+                     ]) );
+            ];
+        };
+  }

@@ -2,7 +2,7 @@
     at 1K, 2K and 4K PEs.
 
     Each row builds a system of the given size, replays an application
-    mix over it ({!Experiment.run_many}, serial), and reports host-side
+    mix over it (serially), and reports host-side
     throughput — capability operations and engine events per wall-clock
     second — together with the engine heap high-water mark and GC
     counters. A second phase at the same scale populates a capability
@@ -21,10 +21,6 @@
 
     Like [BENCH_wallclock.json], the output measures the {e host} and
     is excluded from the byte-identity contract. *)
-
-type preset =
-  | Full  (** 1K / 2K / 4K PE application rows + a 1M-session row *)
-  | Smoke  (** one tiny row of each kind, for the [@scale-smoke] test *)
 
 type row = {
   r_name : string;
@@ -57,15 +53,11 @@ type row = {
       (** one {!Audit.Incremental.run} over the same churn *)
 }
 
-(** Run the preset's rows and measure each. *)
-val rows : ?preset:preset -> unit -> row list
+(** The preset's rows: [Full] measures 1K / 2K / 4K PE application
+    rows and a 1M-session row, [Smoke] one tiny row of each kind. *)
+type sweep
 
-(** Deterministically ordered JSON document for a measured run. *)
-val json : row list -> Semper_obs.Obs.Json.t
-
-(** Render the rows as a table on stdout. *)
-val print : row list -> unit
-
-(** [rows] + [print] + write JSON to [path]
-    (default ["BENCH_scale.json"]). *)
-val run : ?preset:preset -> ?path:string -> unit -> unit
+(** The [scale] deliverable. It has a single point, because one
+    unmeasured warm-up at the largest row's scale must run before the
+    rows it warms. *)
+val entry : (sweep, row list) Entry.spec

@@ -9,7 +9,6 @@ module M3fs = Semper_m3fs.M3fs
 module Client = Semper_m3fs.Client
 module Balance = Semper_balance.Balance
 module Obs = Semper_obs.Obs
-module T = Semper_util.Table
 
 type config = {
   kernels : int;
@@ -155,11 +154,15 @@ let run cfg =
 (* --------------------------------------------------------------- *)
 (* Benchmark: static baseline vs threshold policy on the hotspot    *)
 
-type preset = Full | Smoke
+type point = Entry.preset * config
 
 let config_of_preset = function
-  | Full -> default_config
+  | Entry.Full -> default_config
   | Smoke -> { default_config with clients = 4; rounds = 12; pes_per_kernel = 6 }
+
+let points preset =
+  let cfg = config_of_preset preset in
+  [ (preset, { cfg with policy = Balance.Policy.Static }); (preset, cfg) ]
 
 let side_json cfg (r : result) =
   Obs.Json.Obj
@@ -187,63 +190,91 @@ let side_json cfg (r : result) =
       ("cap_ops", Obs.Json.Int r.cap_ops);
     ]
 
-let bench ?(preset = Full) ?(path = "BENCH_balance.json") () =
-  let cfg = config_of_preset preset in
-  let static_cfg = { cfg with policy = Balance.Policy.Static } in
-  let static = run static_cfg in
-  let balanced = run cfg in
-  (match (static.audit_errors, balanced.audit_errors) with
-  | [], [] -> ()
-  | errs, errs' ->
-    failwith
-      (Printf.sprintf "Skew.bench: capability audit failed: %s"
-         (String.concat "; " (errs @ errs'))));
-  let speedup =
-    if balanced.completion > 0L then
-      Int64.to_float static.completion /. Int64.to_float balanced.completion
-    else 0.0
-  in
-  let row name (r : result) =
-    [
-      name;
-      Int64.to_string r.completion;
-      Printf.sprintf "%.3f" r.max_occupancy;
-      String.concat " "
-        (Array.to_list (Array.map (fun o -> Printf.sprintf "%.2f" o) r.occupancy));
-      string_of_int (List.length r.migrations);
-    ]
-  in
-  T.print
-    ~title:
-      (Printf.sprintf "Skewed workload: %d clients pinned to group 0 of %d (balancer %s)"
-         cfg.clients cfg.kernels
-         (match preset with Full -> "full" | Smoke -> "smoke"))
-    ~header:[ "policy"; "completion"; "max occ"; "occupancy/kernel"; "migrations" ]
-    [ row "static" static; row "balanced" balanced ];
-  Printf.printf "  completion speedup: %.2fx, max-occupancy: %.3f -> %.3f\n%!" speedup
-    static.max_occupancy balanced.max_occupancy;
-  Bench_json.write ~path
-    (Obs.Json.Obj
-       [
-         ("schema", Obs.Json.Str "semperos-balance-1");
-         ( "config",
-           Obs.Json.Obj
-             [
-               ("kernels", Obs.Json.Int cfg.kernels);
-               ("clients", Obs.Json.Int cfg.clients);
-               ("rounds", Obs.Json.Int cfg.rounds);
-               ("derives", Obs.Json.Int cfg.derives);
-               ("fs_every", Obs.Json.Int cfg.fs_every);
-               ("compute_cycles", Obs.Json.Int (Int64.to_int cfg.compute));
-               ("interval_cycles", Obs.Json.Int (Int64.to_int cfg.interval));
-             ] );
-         ("static", side_json static_cfg static);
-         ("balanced", side_json cfg balanced);
-         ( "improvement",
-           Obs.Json.Obj
-             [
-               ("completion_speedup", Obs.Json.Float speedup);
-               ( "max_occupancy_reduction",
-                 Obs.Json.Float (static.max_occupancy -. balanced.max_occupancy) );
-             ] );
-       ])
+let render pts rs =
+  match List.combine pts rs with
+  | [ ((preset, static_cfg), static); ((_, cfg), balanced) ] ->
+    (match (static.audit_errors, balanced.audit_errors) with
+    | [], [] -> ()
+    | errs, errs' ->
+      failwith
+        (Printf.sprintf "balance: capability audit failed: %s"
+           (String.concat "; " (errs @ errs'))));
+    let speedup =
+      if balanced.completion > 0L then
+        Int64.to_float static.completion /. Int64.to_float balanced.completion
+      else 0.0
+    in
+    let row name (r : result) =
+      [
+        name;
+        Int64.to_string r.completion;
+        Printf.sprintf "%.3f" r.max_occupancy;
+        String.concat " "
+          (Array.to_list (Array.map (fun o -> Printf.sprintf "%.2f" o) r.occupancy));
+        string_of_int (List.length r.migrations);
+      ]
+    in
+    {
+      Entry.text =
+        Entry.text
+          [
+            {
+              title =
+                Printf.sprintf "Skewed workload: %d clients pinned to group 0 of %d (balancer %s)"
+                  cfg.clients cfg.kernels (Entry.preset_to_string preset);
+              header = [ "policy"; "completion"; "max occ"; "occupancy/kernel"; "migrations" ];
+              rows = [ row "static" static; row "balanced" balanced ];
+            };
+          ]
+        ^ Printf.sprintf "  completion speedup: %.2fx, max-occupancy: %.3f -> %.3f\n" speedup
+            static.max_occupancy balanced.max_occupancy;
+      json =
+        Obs.Json.Obj
+          [
+            ("schema", Obs.Json.Str "semperos-balance-1");
+            ( "config",
+              Obs.Json.Obj
+                [
+                  ("kernels", Obs.Json.Int cfg.kernels);
+                  ("clients", Obs.Json.Int cfg.clients);
+                  ("rounds", Obs.Json.Int cfg.rounds);
+                  ("derives", Obs.Json.Int cfg.derives);
+                  ("fs_every", Obs.Json.Int cfg.fs_every);
+                  ("compute_cycles", Obs.Json.Int (Int64.to_int cfg.compute));
+                  ("interval_cycles", Obs.Json.Int (Int64.to_int cfg.interval));
+                ] );
+            ("static", side_json static_cfg static);
+            ("balanced", side_json cfg balanced);
+            ( "improvement",
+              Obs.Json.Obj
+                [
+                  ("completion_speedup", Obs.Json.Float speedup);
+                  ( "max_occupancy_reduction",
+                    Obs.Json.Float (static.max_occupancy -. balanced.max_occupancy) );
+                ] );
+          ];
+    }
+  | _ -> invalid_arg "Skew: result shape mismatch"
+
+let entry =
+  let side = Entry.Keys (Entry.leaves [ "completion_cycles"; "max_occupancy"; "sequence" ]) in
+  {
+    Entry.name = "balance";
+    doc = "BENCH_balance.json: skewed workload, static placement against the load balancer";
+    points;
+    compute = (fun (_, cfg) -> run cfg);
+    render;
+    host_timed = false;
+    shape =
+      Some
+        {
+          Entry.schema = "semperos-balance-1";
+          keys =
+            [
+              ("config", Entry.Any);
+              ("static", side);
+              ("balanced", side);
+              ("improvement", Entry.Keys (Entry.leaves [ "completion_speedup" ]));
+            ];
+        };
+  }

@@ -44,11 +44,12 @@ type result = {
     capability forest). Raises [Failure] on any client error. *)
 val run : config -> result
 
-type preset = Full | Smoke
+(** The static baseline and the threshold policy, on the same
+    hotspot configuration. *)
+type point
 
-(** [bench ?preset ?path ()] runs the hotspot configuration twice —
-    static baseline, then the threshold policy — prints a comparison
-    table, and writes [BENCH_balance.json] (schema
-    [semperos-balance-1]) with both sides plus the migration
-    sequence. *)
-val bench : ?preset:preset -> ?path:string -> unit -> unit
+(** The [balance] deliverable: runs both sides, prints a comparison
+    table, fails on any capability-audit violation, and renders
+    [BENCH_balance.json] (schema [semperos-balance-1]) with both sides
+    plus the migration sequence. *)
+val entry : (point, result) Entry.spec

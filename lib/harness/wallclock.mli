@@ -1,14 +1,17 @@
-(** Wall-clock throughput benchmark for the simulator core.
+(** Wall-clock throughput benchmark for the simulator core
+    (BENCH_wallclock.json).
 
-    Unlike every other bench mode, this measures the {e host}: real
-    seconds and events/sec for representative figure workloads (Table 3,
-    Figure 4, Figure 6), plus the engine-wide cancellation counters and
-    heap high-water mark from {!Semper_sim.Engine.Totals}. The numbers
-    are host-dependent by construction, so [BENCH_wallclock.json] is
-    excluded from the byte-identity contract that covers the other
-    outputs; the simulated-cycle results of the workloads it runs are
-    unchanged and still covered. Workloads run serially so the timings
-    are not folded together with domain-scheduler noise. *)
+    Unlike every other deliverable, this measures the {e host}: real
+    seconds and events/sec to compute the registry's own [table3],
+    [fig4] and [fig6] points, plus the engine-wide cancellation counter
+    and heap high-water mark from {!Semper_sim.Engine.Totals}. Figure 6
+    is joined by a sweep with fewer services than kernels, which forces
+    cross-group sessions and so the retry timers. The numbers are
+    host-dependent by construction, so the file is excluded from the
+    byte-identity contract that covers the other outputs; the
+    simulated-cycle results of the workloads it runs are unchanged and
+    still covered. Workloads run serially so the timings are not folded
+    together with domain-scheduler noise. *)
 
 type sample = {
   s_name : string;
@@ -16,7 +19,6 @@ type sample = {
   s_events : int;  (** events executed by the engines of this workload *)
   s_events_per_s : float;
   s_cancelled : int;
-  s_skipped : int;
   s_heap_peak : int;
       (** process-wide monotone high-water mark as of the end of this
           workload, not a per-workload delta *)
@@ -25,19 +27,7 @@ type sample = {
   s_promoted_words : float;  (** words promoted minor -> major *)
 }
 
-type preset =
-  | Full  (** the figure workloads at paper scale *)
-  | Smoke  (** scaled down to seconds, for the [@wallclock-smoke] test *)
+(** One timed workload: a paper entry's points at a preset. *)
+type point
 
-(** Run the preset's workloads and measure each. *)
-val samples : ?preset:preset -> unit -> sample list
-
-(** Deterministically ordered JSON document for a measured run. *)
-val json : sample list -> Semper_obs.Obs.Json.t
-
-(** Render the samples as a table on stdout. *)
-val print : sample list -> unit
-
-(** [samples] + [print] + write JSON to [path]
-    (default ["BENCH_wallclock.json"]). *)
-val run : ?preset:preset -> ?path:string -> unit -> unit
+val entry : (point, sample) Entry.spec

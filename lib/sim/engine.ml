@@ -87,7 +87,6 @@ module Totals = struct
 
   let processed () = Atomic.get processed_a
   let cancelled () = Atomic.get cancelled_a
-  let skipped () = 0
   let heap_peak () = Atomic.get heap_peak_a
   let reset_heap_peak () = Atomic.set heap_peak_a 0
 
@@ -104,10 +103,7 @@ let next_uid = Atomic.make 0
 
 let create ?obs () =
   let rec nil = { time = -1; run = ignore; next = nil; state = Fired; owner = -1 } in
-  let ctr name = Option.map (fun r -> Obs.Registry.counter r ("engine." ^ name)) obs in
-  let ctr_cancelled = ctr "events_cancelled" in
-  (* Nothing is ever skipped; the counter stays for the reports. *)
-  ignore (ctr "events_skipped");
+  let ctr_cancelled = Option.map (fun r -> Obs.Registry.counter r "engine.events_cancelled") obs in
   let t =
     {
       uid = Atomic.fetch_and_add next_uid 1;
@@ -312,7 +308,6 @@ let run ?until t =
 
 let events_processed t = t.processed
 let events_cancelled t = t.cancelled
-let events_skipped _ = 0
 let heap_peak t = t.heap_peak
 let pending t = t.len - t.dead
 
@@ -336,7 +331,6 @@ type snapshot = {
   s_dead : int;
   s_horizon : int64;
   s_cancelled : int;
-  s_skipped : int;
   s_heap_peak : int;
   s_queued : int;
 }
@@ -349,7 +343,6 @@ let snapshot t =
     s_dead = t.dead;
     s_horizon = Int64.of_int t.horizon;
     s_cancelled = t.cancelled;
-    s_skipped = 0;
     s_heap_peak = t.heap_peak;
     s_queued = t.len;
   }

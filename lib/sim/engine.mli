@@ -45,8 +45,8 @@ type t
 type handle
 
 (** Fresh engine at cycle 0. When [obs] is given, the engine registers
-    [engine.events_cancelled] and [engine.events_skipped] counters and
-    an [engine.heap_peak] gauge there. *)
+    an [engine.events_cancelled] counter and an [engine.heap_peak] gauge
+    there. *)
 val create : ?obs:Semper_obs.Obs.Registry.t -> unit -> t
 
 (** Current simulation time in cycles. *)
@@ -93,11 +93,6 @@ val events_processed : t -> int
 (** Events retired via {!cancel} before firing. *)
 val events_cancelled : t -> int
 
-(** Always 0: cancelled events are dropped without being counted. The
-    [engine.events_skipped] counter reads 0 for the same reason; both
-    stay for the reports that print them. *)
-val events_skipped : t -> int
-
 (** Largest number of live (not cancelled) events ever queued at once —
     the simulator's memory high-water mark. *)
 val heap_peak : t -> int
@@ -117,7 +112,6 @@ type snapshot = {
   s_dead : int;  (** cancelled events still queued as tombstones *)
   s_horizon : int64;
   s_cancelled : int;
-  s_skipped : int;  (** always 0, see {!events_skipped} *)
   s_heap_peak : int;
   s_queued : int;  (** queued events including tombstones *)
 }
@@ -144,9 +138,6 @@ val restore : t -> snapshot -> unit
 module Totals : sig
   val processed : unit -> int
   val cancelled : unit -> int
-
-  (** Always 0, see {!events_skipped}. *)
-  val skipped : unit -> int
 
   (** Maximum {!heap_peak} over all engines so far. *)
   val heap_peak : unit -> int

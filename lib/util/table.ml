@@ -38,16 +38,15 @@ module Series = struct
     if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
     else Printf.sprintf "%.2f" v
 
-  let render t =
-    let header = t.x_label :: t.labels in
-    let rows =
+  let table t =
+    ( t.x_label :: t.labels,
       List.rev_map
         (fun (x, ys) ->
           fmt_num x
           :: List.map (function None -> "-" | Some y -> fmt_num y) ys)
-        t.rows
-    in
-    render ~header rows
+        t.rows )
 
-  let print ~title t = Printf.printf "\n== %s ==\n%s\n" title (render t)
+  let render t =
+    let header, rows = table t in
+    render ~header rows
 end

@@ -22,6 +22,9 @@ module Series : sig
       point (rendered as "-"). *)
   val add_row : t -> x:float -> float option list -> unit
 
+  (** The header ([x_label :: labels]) and the formatted rows, in the
+      order they were added. *)
+  val table : t -> string list * string list list
+
   val render : t -> string
-  val print : title:string -> t -> unit
 end

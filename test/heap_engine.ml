@@ -13,7 +13,6 @@ type t = {
   mutable dead : int;
   mutable horizon : int64;
   mutable cancelled : int;
-  mutable skipped : int;
   mutable heap_peak : int;
 }
 
@@ -31,7 +30,6 @@ let create () =
     dead = 0;
     horizon = 0L;
     cancelled = 0;
-    skipped = 0;
     heap_peak = 0;
   }
 
@@ -88,10 +86,7 @@ let run ?until t =
         if Int64.compare limit t.clock > 0 then t.clock <- limit
       | Some _ | None ->
         ignore (Heap.pop t.heap);
-        if is_dead ev then begin
-          t.dead <- t.dead - 1;
-          t.skipped <- t.skipped + 1
-        end
+        if is_dead ev then t.dead <- t.dead - 1
         else begin
           Option.iter (fun h -> h.state <- `Fired) ev.cell;
           t.clock <- ev.time;
@@ -106,7 +101,6 @@ let run ?until t =
 
 let events_processed t = t.processed
 let events_cancelled t = t.cancelled
-let events_skipped t = t.skipped
 let heap_peak t = t.heap_peak
 let pending t = Heap.length t.heap - t.dead
 let queued t = Heap.length t.heap

@@ -1,9 +1,8 @@
 (** The event queue {!Semperos.Engine} used before its timer wheel: a
     binary heap of events ordered by [(time, seq)], with lazy deletion.
     [cancel] marks the event dead; [run] pops a dead event without
-    running it when it reaches the top ([events_skipped]), and the heap
-    compacts once at least 64 events are queued and more than half are
-    dead. A drained queue catches the clock up to the latest time ever
+    running it when it reaches the top, and the heap compacts once at
+    least 64 events are queued and more than half are dead. A drained queue catches the clock up to the latest time ever
     scheduled, and a bounded run leaves the clock at its bound.
 
     Every committed figure was first recorded under this queue, so it
@@ -25,9 +24,6 @@ val cancel : t -> handle -> unit
 val run : ?until:int64 -> t -> int
 val events_processed : t -> int
 val events_cancelled : t -> int
-
-(** Dead events popped by {!run} (the rest go by compaction). *)
-val events_skipped : t -> int
 
 (** Largest heap length, dead events included. *)
 val heap_peak : t -> int

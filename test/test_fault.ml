@@ -225,6 +225,26 @@ let test_retries_repair () =
       if o.Fuzz.failures <> [] then Alcotest.failf "retry-enabled run failed:@.%a" Fuzz.pp_outcome o)
     outcomes
 
+(* Fifty consecutive seed pairs under the full chaos profile all pass
+   the liveness, audit and teardown oracles, and actually exercise the
+   fault and retransmission machinery; a pair run twice reports
+   byte-identical outcomes. *)
+let test_chaos_sweep () =
+  let runs = 50 in
+  let outcomes = Fuzz.run_many ~workload_seed:1 ~fault_seed:1_001 ~runs () in
+  List.iter
+    (fun o -> if o.Fuzz.failures <> [] then Alcotest.failf "%a" Fuzz.pp_outcome o)
+    outcomes;
+  let sum f = List.fold_left (fun a o -> a + f o) 0 outcomes in
+  Alcotest.(check bool) "fault plan injected faults" true
+    (sum (fun o ->
+         o.Fuzz.injected_delays + o.Fuzz.injected_dups + o.Fuzz.injected_drops
+         + o.Fuzz.injected_stalls)
+    > 0);
+  Alcotest.(check bool) "kernels retransmitted at least once" true (sum (fun o -> o.Fuzz.retries) > 0);
+  let line () = Fuzz.outcome_line (Fuzz.run_one ~workload_seed:7 ~fault_seed:1_007 ()) in
+  Alcotest.(check string) "identical seeds give byte-identical reports" (line ()) (line ())
+
 let suite =
   [
     qcheck prop_delay;
@@ -242,4 +262,5 @@ let suite =
     Alcotest.test_case "fuzz replay is deterministic" `Quick test_determinism;
     Alcotest.test_case "oracles fail without retries" `Quick test_oracles_have_teeth;
     Alcotest.test_case "retries repair the dropped runs" `Quick test_retries_repair;
+    Alcotest.test_case "chaos sweep of 50 seed pairs is clean" `Quick test_chaos_sweep;
   ]

@@ -19,7 +19,13 @@
    (ts, src, dst, kind) the two traces differ only in those op ids.
    The fingerprint moved only because it digests the trace ring: every
    other part of the system snapshot, and [k4_snapshot.json], kept
-   their bytes. *)
+   their bytes.
+
+   When the always-zero [engine.events_skipped] counter was deleted,
+   [snapshot.json] and [k4_snapshot.json] each lost exactly that
+   member and nothing else. Both fingerprints moved because they
+   digest the registry and the engine snapshot, which lost its
+   skipped field too. Both traces kept their bytes. *)
 
 open Semperos
 

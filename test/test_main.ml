@@ -30,4 +30,5 @@ let () =
       ("properties", Test_properties.suite);
       ("checkpoint", Test_checkpoint.suite);
       ("replay", Test_replay.suite);
+      ("bench", Test_bench.suite);
     ]

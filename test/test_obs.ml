@@ -357,6 +357,54 @@ let test_occupancy_instruments_exported () =
   check Alcotest.bool "queue_depth is a histogram" true
     (contains snap "\"kernel0.queue_depth\":{\"type\":\"histogram\"")
 
+(* What [semperos_cli stats] and [trace] print for a small multi-kernel
+   workload: a snapshot and trace lines that parse, the span kinds the
+   protocols must emit, and identical bytes from a second run. *)
+let test_stats_and_trace_dump () =
+  let workload = Workloads.tar in
+  let kernels = 3 and instances = 6 in
+  let run () =
+    let sys =
+      System.create
+        (System.config ~kernels ~user_pes_per_kernel:((instances / kernels) + 2)
+           ~trace_capacity:8192 ())
+    in
+    let prefixed i = Trace.with_prefix (Printf.sprintf "/i%d" i) (workload.Workloads.build ()) in
+    let fs =
+      M3fs.create ~config:workload.Workloads.fs_config sys ~kernel:0 ~name:"m3fs"
+        ~files:(List.concat (List.init instances (fun i -> (prefixed i).Trace.files)))
+        ()
+    in
+    for i = 0 to instances - 1 do
+      let vpe = System.spawn_vpe sys ~kernel:(i mod kernels) in
+      Replay.run sys fs ~vpe (prefixed i) (fun _ -> ())
+    done;
+    ignore (System.run sys);
+    ( Obs.Json.to_string (Obs.Registry.snapshot (System.obs sys)),
+      Obs.Trace.to_jsonl (System.trace_buffer sys) )
+  in
+  let stats, trace = run () in
+  (match Obs.Json.parse stats with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "metrics snapshot is not valid JSON: %s" e);
+  let lines = String.split_on_char '\n' (String.trim trace) in
+  check Alcotest.bool "trace is non-empty" true (lines <> [ "" ]);
+  List.iter
+    (fun line ->
+      match Obs.Json.parse line with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "trace line %s is not valid JSON: %s" line e)
+    lines;
+  List.iter
+    (fun kind ->
+      check Alcotest.bool (kind ^ " spans traced") true
+        (contains trace (Printf.sprintf "\"kind\":\"%s\"" kind)))
+    [ "syscall_enter"; "syscall_exit"; "ikc_send"; "ikc_recv" ];
+  check Alcotest.bool "snapshot mentions kernel counters" true (contains stats "kernel0.syscalls");
+  let stats2, trace2 = run () in
+  check Alcotest.string "snapshot deterministic" stats stats2;
+  check Alcotest.string "trace deterministic" trace trace2
+
 let suite =
   [
     Alcotest.test_case "json escaping" `Quick test_json_escaping;
@@ -380,4 +428,5 @@ let suite =
     Alcotest.test_case "trace off" `Quick test_trace_off;
     Alcotest.test_case "tracing changes no result" `Quick test_tracing_changes_no_result;
     Alcotest.test_case "protocol kind numbering" `Quick test_protocol_kind_numbering;
+    Alcotest.test_case "stats and trace dumps" `Quick test_stats_and_trace_dump;
   ]

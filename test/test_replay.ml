@@ -149,24 +149,26 @@ let rm_rf dir =
     Sys.rmdir dir
   end
 
-let fig4 =
-  match Figures.find "fig4" with
-  | Some f -> f
-  | None -> Alcotest.fail "fig4 is not registered"
+let entry name =
+  match Bench.find name with
+  | Some e -> e
+  | None -> Alcotest.failf "%s is not registered" name
 
-let output_equal what (a : Figures.output) (b : Figures.output) =
-  check Alcotest.string (what ^ ": text byte-identical") a.Figures.text b.Figures.text;
+let fig4 = entry "fig4"
+
+let output_equal what (a : Entry.output) (b : Entry.output) =
+  check Alcotest.string (what ^ ": text byte-identical") a.Entry.text b.Entry.text;
   check Alcotest.string (what ^ ": json byte-identical")
-    (Obs.Json.to_string a.Figures.json)
-    (Obs.Json.to_string b.Figures.json)
+    (Obs.Json.to_string a.Entry.json)
+    (Obs.Json.to_string b.Entry.json)
 
 let test_record_replay_byte_identical () =
   let dir = fresh_dir () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      let recorded = Record.record ~jobs:1 ~every:2 ~dir fig4 Figures.Smoke in
-      let reference = Figures.run ~jobs:1 fig4 Figures.Smoke in
+      let recorded = Record.record ~jobs:1 ~every:2 ~dir fig4 Entry.Smoke in
+      let reference = Entry.run ~jobs:1 fig4 Entry.Smoke in
       output_equal "record matches the uninterrupted run" recorded reference;
       let total =
         match Record.read_manifest dir with
@@ -191,17 +193,13 @@ let test_record_replay_byte_identical () =
         [ 1; 4 ])
 
 let test_record_replay_fig6 () =
-  let fig6 =
-    match Figures.find "fig6" with
-    | Some f -> f
-    | None -> Alcotest.fail "fig6 is not registered"
-  in
+  let fig6 = entry "fig6" in
   let dir = fresh_dir () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      let recorded = Record.record ~jobs:1 ~every:1 ~dir fig6 Figures.Smoke in
-      let reference = Figures.run ~jobs:4 fig6 Figures.Smoke in
+      let recorded = Record.record ~jobs:1 ~every:1 ~dir fig6 Entry.Smoke in
+      let reference = Entry.run ~jobs:4 fig6 Entry.Smoke in
       output_equal "serial record matches the parallel run" recorded reference;
       List.iter
         (fun (jobs, from_) ->
@@ -252,7 +250,7 @@ let test_replay_survives_a_missing_checkpoint () =
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      let recorded = Record.record ~jobs:1 ~every:2 ~dir fig4 Figures.Smoke in
+      let recorded = Record.record ~jobs:1 ~every:2 ~dir fig4 Entry.Smoke in
       (* deleting an image only costs recompute: replay falls back to
          the previous checkpoint boundary *)
       let victim = Filename.concat dir "ckpt-4.img" in
@@ -269,7 +267,7 @@ let test_replay_rejects_a_corrupt_checkpoint () =
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      ignore (Record.record ~jobs:1 ~every:2 ~dir fig4 Figures.Smoke);
+      ignore (Record.record ~jobs:1 ~every:2 ~dir fig4 Entry.Smoke);
       (* a present-but-unreadable image is a hard error, never a
          silent recompute *)
       let victim = Filename.concat dir "ckpt-4.img" in
@@ -279,6 +277,28 @@ let test_replay_rejects_a_corrupt_checkpoint () =
       match Record.replay ~jobs:1 ~dir ~from_:4 () with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "corrupt image must fail the replay")
+
+(* An image of other points is stale, not a prefix to resume: fig4's
+   Full and Smoke runs write images of the same kind at the same
+   positions, but their fourth point has a different chain length. *)
+let test_replay_rejects_foreign_points () =
+  let full = fresh_dir () and smoke = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      rm_rf full;
+      rm_rf smoke)
+    (fun () ->
+      ignore (Record.record ~jobs:1 ~every:2 ~dir:full fig4 Entry.Full);
+      ignore (Record.record ~jobs:1 ~every:2 ~dir:smoke fig4 Entry.Smoke);
+      let image =
+        In_channel.with_open_bin (Filename.concat full "ckpt-4.img") In_channel.input_all
+      in
+      Out_channel.with_open_bin (Filename.concat smoke "ckpt-4.img") (fun oc ->
+          output_string oc image);
+      match Record.replay ~jobs:1 ~dir:smoke ~from_:4 () with
+      | Error e ->
+        check Alcotest.bool ("asks for a re-record: " ^ e) true (Str_contains.contains e "re-record")
+      | Ok _ -> Alcotest.fail "an image of another preset's points must fail the replay")
 
 let test_replay_requires_a_recording () =
   match Record.replay ~dir:(fresh_dir ()) ~from_:0 () with
@@ -305,5 +325,7 @@ let suite =
       test_replay_survives_a_missing_checkpoint;
     Alcotest.test_case "replay rejects a corrupt checkpoint" `Quick
       test_replay_rejects_a_corrupt_checkpoint;
+    Alcotest.test_case "replay rejects an image of other points" `Quick
+      test_replay_rejects_foreign_points;
     Alcotest.test_case "replay requires a recording" `Quick test_replay_requires_a_recording;
   ]

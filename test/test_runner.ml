@@ -1,7 +1,7 @@
-(* Tests for the parallel experiment runner: the domain pool's
-   ordering and failure contracts, the determinism guarantee (any job
-   count produces identical results, hence identical bytes), and the
-   linear-sweep contract of the revocation hot path. *)
+(* Tests for the parallel fan-out: the domain pool's ordering and
+   failure contracts, the determinism guarantee (any job count produces
+   identical results, hence identical bytes), and the linear-sweep
+   contract of the revocation hot path. *)
 
 open Semperos
 
@@ -40,23 +40,7 @@ let test_pool_exception_earliest () =
 let test_pool_invalid_jobs () =
   let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
   check Alcotest.bool "jobs 0 rejected" true
-    (raises (fun () -> Domain_pool.map ~jobs:0 Fun.id [ 1 ]));
-  check Alcotest.bool "Runner.set_jobs 0 rejected" true
-    (raises (fun () -> Runner.set_jobs 0))
-
-(* ------------------------------------------------------------------ *)
-(* Runner                                                              *)
-
-let test_merge_snapshots_order () =
-  let open Obs.Json in
-  let merged = Runner.merge_snapshots [ ("b", Int 1); ("a", Int 2) ] in
-  check Alcotest.string "submission order, not sorted" {|{"b":1,"a":2}|} (to_string merged)
-
-let test_merge_snapshots_duplicate () =
-  let open Obs.Json in
-  match Runner.merge_snapshots [ ("x", Int 1); ("x", Int 2) ] with
-  | _ -> Alcotest.fail "duplicate label accepted"
-  | exception Invalid_argument _ -> ()
+    (raises (fun () -> Domain_pool.map ~jobs:0 Fun.id [ 1 ]))
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: the same experiment list must produce identical        *)
@@ -73,8 +57,8 @@ let outcome_fingerprint (o : Experiment.outcome) =
     (Obs.Json.to_string o.Experiment.snapshot)
 
 let test_experiments_jobs_invariant () =
-  let serial = Runner.experiments ~jobs:1 (small_configs ()) in
-  let parallel = Runner.experiments ~jobs:4 (small_configs ()) in
+  let serial = Domain_pool.map ~jobs:1 Experiment.run (small_configs ()) in
+  let parallel = Domain_pool.map ~jobs:4 Experiment.run (small_configs ()) in
   check Alcotest.(list string) "jobs 1 == jobs 4 (outcomes and snapshots)"
     (List.map outcome_fingerprint serial)
     (List.map outcome_fingerprint parallel)
@@ -92,8 +76,8 @@ let test_microbench_jobs_invariant () =
   check
     Alcotest.(list int64)
     "chain batch: jobs 1 == jobs 3"
-    (Microbench.chain_revocations ~jobs:1 specs)
-    (Microbench.chain_revocations ~jobs:3 specs)
+    (Domain_pool.map ~jobs:1 Microbench.chain specs)
+    (Domain_pool.map ~jobs:3 Microbench.chain specs)
 
 let test_fuzz_jobs_invariant () =
   let spec = Fuzz.spec ~ops:15 () in
@@ -156,8 +140,6 @@ let suite =
     Alcotest.test_case "pool: jobs > items" `Quick test_pool_jobs_exceed_items;
     Alcotest.test_case "pool: earliest failure" `Quick test_pool_exception_earliest;
     Alcotest.test_case "pool: invalid jobs" `Quick test_pool_invalid_jobs;
-    Alcotest.test_case "runner: merge order" `Quick test_merge_snapshots_order;
-    Alcotest.test_case "runner: duplicate label" `Quick test_merge_snapshots_duplicate;
     Alcotest.test_case "determinism: experiments" `Quick test_experiments_jobs_invariant;
     Alcotest.test_case "determinism: microbench" `Quick test_microbench_jobs_invariant;
     Alcotest.test_case "determinism: fuzz" `Quick test_fuzz_jobs_invariant;

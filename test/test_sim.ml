@@ -140,9 +140,8 @@ let test_engine_counts () =
 (* Cancellable timers                                                  *)
 
 (* The engine and the binary-heap oracle it replaced behind one
-   signature: the tests below pin the same behaviour on both, except
-   that only the heap counts the tombstones it pops as skipped.
-   Delivery order and clocks are fuzzed against each other in
+   signature: the tests below pin the same behaviour on both. Delivery
+   order and clocks are fuzzed against each other in
    test_engine_model. *)
 module type QUEUE = sig
   type t
@@ -157,7 +156,6 @@ module type QUEUE = sig
   val run : ?until:int64 -> t -> int
   val events_processed : t -> int
   val events_cancelled : t -> int
-  val events_skipped : t -> int
   val heap_peak : t -> int
   val pending : t -> int
   val queued : t -> int
@@ -173,7 +171,7 @@ let engine : (module QUEUE) =
 
 let oracle : (module QUEUE) = (module Heap_engine)
 
-let test_cancel_before_fire (module Q : QUEUE) ~skipped () =
+let test_cancel_before_fire (module Q : QUEUE) () =
   let e = Q.create () in
   let fired = ref false and live = ref false in
   let h = Q.after_cancellable e 20L (fun () -> fired := true) in
@@ -187,7 +185,6 @@ let test_cancel_before_fire (module Q : QUEUE) ~skipped () =
   check Alcotest.bool "cancelled never fires" false !fired;
   check Alcotest.bool "live fires" true !live;
   check Alcotest.int "processed excludes cancelled" 1 (Q.events_processed e);
-  check Alcotest.int "tombstones popped and counted as skipped" skipped (Q.events_skipped e);
   (* The seed engine executed the dead event as a no-op at cycle 20 and
      the clock followed it; the drained clock must still land there. *)
   check Alcotest.int64 "clock reaches the cancelled horizon" 20L (Q.now e)
@@ -223,11 +220,10 @@ let test_cancel_interleaved_with_until () =
     ignore (Q.run e);
     check Alcotest.(list int) "cancelled event elided" [ 10; 30 ] (List.rev !order);
     check Alcotest.int "processed" 2 (Q.events_processed e);
-    check Alcotest.int "cancelled" 1 (Q.events_cancelled e);
-    Q.events_skipped e
+    check Alcotest.int "cancelled" 1 (Q.events_cancelled e)
   in
-  check Alcotest.int "skipped (heap)" 1 (run_with oracle);
-  check Alcotest.int "skipped (engine)" 0 (run_with engine)
+  run_with oracle;
+  run_with engine
 
 (* Far-future victims interleaved with near-term survivors; cancelling
    every victim pushes the dead fraction over 1/2 on a queue well past
@@ -266,9 +262,7 @@ let test_cancel_obs_counters () =
   let has sub = Str_contains.contains s sub in
   check Alcotest.bool "events_cancelled exported" true
     (has "\"engine.events_cancelled\":{\"type\":\"counter\",\"value\":1}");
-  check Alcotest.bool "heap_peak exported" true (has "\"engine.heap_peak\":{\"type\":\"gauge\"");
-  check Alcotest.bool "events_skipped exported and zero" true
-    (has "\"engine.events_skipped\":{\"type\":\"counter\",\"value\":0}")
+  check Alcotest.bool "heap_peak exported" true (has "\"engine.heap_peak\":{\"type\":\"gauge\"")
 
 (* Regression: with cancellable retry timers the event queue tracks
    in-flight work, not history. The seed engine left every acked IKC
@@ -469,9 +463,9 @@ let suite =
     Alcotest.test_case "engine rejects the past" `Quick test_engine_past_rejected;
     Alcotest.test_case "engine counters" `Quick test_engine_counts;
     Alcotest.test_case "cancel before fire (heap oracle)" `Quick
-      (test_cancel_before_fire oracle ~skipped:1);
+      (test_cancel_before_fire oracle);
     Alcotest.test_case "cancel before fire (wheel)" `Quick
-      (test_cancel_before_fire engine ~skipped:0);
+      (test_cancel_before_fire engine);
     Alcotest.test_case "cancel after fire / double cancel" `Quick test_cancel_after_fire_and_double;
     Alcotest.test_case "cancel interleaved with bounded runs" `Quick
       test_cancel_interleaved_with_until;

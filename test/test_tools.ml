@@ -281,10 +281,17 @@ let test_bench_documents_validate () =
      project root they are in the cwd itself. *)
   let dir = if bench_files "." <> [] then "." else ".." in
   let files = bench_files dir in
-  check Alcotest.bool "found benchmark documents" true (List.length files >= 7);
+  check
+    Alcotest.(list string)
+    "one committed document per deliverable entry"
+    (List.sort String.compare
+       (List.filter_map
+          (fun (Entry.E e as entry) -> Option.map (fun _ -> Bench.path entry) e.shape)
+          Bench.all))
+    files;
   List.iter
     (fun f ->
-      match Bench_json.validate_file (Filename.concat dir f) with
+      match Bench.validate_file (Filename.concat dir f) with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: %s" f e)
     files
@@ -294,7 +301,7 @@ let test_bench_validate_rejects () =
     match Obs.Json.parse doc with
     | Error e -> Alcotest.failf "%s: test document does not parse: %s" name e
     | Ok json -> (
-      match Bench_json.validate json with
+      match Bench.validate json with
       | Ok () -> Alcotest.failf "%s: validated" name
       | Error _ -> ())
   in
@@ -303,7 +310,16 @@ let test_bench_validate_rejects () =
   reject "empty row array" {|{"schema":"semperos-engine-1","samples":[]}|};
   reject "row missing a key"
     {|{"schema":"semperos-engine-1","samples":[{"backend":"heap","op":"drain"}]}|};
-  reject "schema-less document without a path" {|{"table3":[]}|}
+  reject "schema-less document without a path" {|{"table3":[]}|};
+  let balance balanced =
+    Printf.sprintf
+      {|{"schema":"semperos-balance-1","config":{},"static":%s,"balanced":%s,"improvement":{"completion_speedup":1.0}}|}
+      {|{"completion_cycles":1,"max_occupancy":0.5,"sequence":[]}|} balanced
+  in
+  (match Obs.Json.parse (balance {|{"completion_cycles":1,"max_occupancy":0.5,"sequence":[]}|}) with
+  | Ok json -> check Alcotest.(result unit string) "complete nested objects" (Ok ()) (Bench.validate json)
+  | Error e -> Alcotest.failf "balance document does not parse: %s" e);
+  reject "nested object missing a key" (balance {|{"completion_cycles":1,"sequence":[]}|})
 
 (* ------------------------------------------------------------------ *)
 (* Broadcast revocation baseline                                       *)
