@@ -324,6 +324,71 @@ let test_redelivered_revoke_req () =
     (Capspace.count v1.Vpe.capspace + Capspace.count v2.Vpe.capspace);
   Audit.check sys
 
+(* A retransmission parked behind exhausted send credits can leave its
+   sender after the reply to the original has already arrived. Twelve
+   spanning obtains from kernel 0 share its four credits toward kernel
+   1, and everything kernel 1 sends back (credit returns and replies
+   alike) is held until cycle [hold], past the first retry timeout, so
+   the retransmissions queue behind the stalled originals. The late
+   copy must be answered from the responder's cache: counted as a
+   duplicate, never executed a second time. *)
+let test_stalled_retransmission_after_reply () =
+  let sys =
+    System.create (System.config ~kernels:2 ~user_pes_per_kernel:14 ~trace_capacity:100_000 ())
+  in
+  let donor = System.spawn_vpe sys ~kernel:1 in
+  let root = alloc sys donor in
+  let root_key = Option.get (Capspace.find donor.Vpe.capspace root) in
+  let clients = List.init 12 (fun _ -> System.spawn_vpe sys ~kernel:0) in
+  let a_pe = Kernel.pe (System.kernel sys 0) and b_pe = Kernel.pe (System.kernel sys 1) in
+  let hold = Int64.add (System.now sys) 30_000L in
+  Fabric.set_injector (System.fabric sys)
+    (Some
+       (fun ~src ~dst ~tag:_ ~now ~arrival ->
+         if src = b_pe && dst = a_pe && Int64.compare now hold < 0 then
+           [ Some (if Int64.compare arrival hold < 0 then hold else arrival) ]
+         else [ Some arrival ]));
+  let results = ref [] in
+  List.iter
+    (fun (c : Vpe.t) ->
+      System.syscall sys c
+        (Protocol.Sys_obtain_from { donor_vpe = donor.Vpe.id; donor_sel = root })
+        (fun r -> results := r :: !results))
+    clients;
+  ignore (System.run sys);
+  check Alcotest.int "every obtain answered" 12 (List.length !results);
+  List.iter (fun r -> ignore (sel_of r)) !results;
+  (* Witness the ordering from kernel 0's side of the trace: a copy of
+     request [op] stalled for credit, the reply to [op] arrived, and
+     only then did the copy leave. *)
+  let events = Obs.Trace.events (System.trace_buffer sys) in
+  let stalled_then_replied op =
+    let rec scan stalled replied = function
+      | [] -> false
+      | (e : Obs.Trace.event) :: rest ->
+        if e.op <> op then scan stalled replied rest
+        else if e.kind = "credit_stall" && e.src = 0 then scan true replied rest
+        else if e.kind = "ikc_recv" && e.dst = 0 && e.detail = "obtain_reply" then
+          scan stalled stalled rest
+        else if e.kind = "ikc_send" && e.src = 0 && stalled && replied then true
+        else scan stalled replied rest
+    in
+    scan false false events
+  in
+  let retried =
+    List.filter_map
+      (fun (e : Obs.Trace.event) ->
+        if e.kind = "ikc_retry" && e.src = 0 then Some e.op else None)
+      events
+  in
+  check Alcotest.bool "a stalled copy left after its reply" true
+    (List.exists stalled_then_replied retried);
+  check Alcotest.bool "responder counted the duplicate" true (dup_ikc sys 1 >= 1);
+  check Alcotest.int "one child per obtain" 12
+    (Mapdb.child_count (Kernel.mapdb (System.kernel sys 1)) root_key);
+  check Alcotest.int "no second child capability" 13 (total_caps sys);
+  Audit.check sys
+
 (* The idempotency caches (remote op results, delegate acks) must not
    grow without bound: entries older than the retry window are evicted
    lazily on the next syscall or IKC delivery. *)
@@ -423,6 +488,8 @@ let suite =
     Alcotest.test_case "redelivered obtain request" `Quick test_redelivered_obtain_req;
     Alcotest.test_case "redelivered delegate ack" `Quick test_redelivered_delegate_ack;
     Alcotest.test_case "redelivered revoke request" `Quick test_redelivered_revoke_req;
+    Alcotest.test_case "stalled retransmission after its reply" `Quick
+      test_stalled_retransmission_after_reply;
     Alcotest.test_case "idempotency caches evict after the retry window" `Quick
       test_idempotency_cache_eviction;
     Alcotest.test_case "retry exhaustion fails with E_timeout" `Quick
