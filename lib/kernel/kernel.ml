@@ -59,22 +59,7 @@ type counters = {
   revokes_spanning : Obs.Registry.counter;
   caps_created : Obs.Registry.counter;
   caps_deleted : Obs.Registry.counter;
-  ikc_sent : Obs.Registry.counter;
   ikc_received : Obs.Registry.counter;
-  credit_stalls : Obs.Registry.counter;
-  (* Credit refunds discarded at the §5.1 [max_inflight] cap — a
-     retransmission refund racing the original message's credit return,
-     or a fault-injected duplicate returning credit twice. Without the
-     cap these permanently inflated the window past the paper's bound. *)
-  credit_overrefund : Obs.Registry.counter;
-  retries : Obs.Registry.counter;
-  retry_exhausted : Obs.Registry.counter;
-  dup_ikc : Obs.Registry.counter;
-  (* [Ik_batch] frames shipped / inner messages they carried (batching
-     mode only); [batch_occupancy] histograms messages per frame. *)
-  batches_sent : Obs.Registry.counter;
-  batched_msgs : Obs.Registry.counter;
-  batch_occupancy : Obs.Registry.histogram;
   (* Membership probes performed by revocation sweeps — one per
      marked-set lookup, so its value is linear in the number of deleted
      capabilities. Regression-tested: a wide tree must not make the
@@ -85,12 +70,8 @@ type counters = {
      busy cycles. Piggybacks on existing activity points (like the
      idempotency-cache eviction) so it adds no engine events. *)
   queue_depth : Obs.Registry.histogram;
-  (* Per-kind histograms, indexed by [P.syscall_tag] / [P.ikc_tag]:
-     end-to-end syscall latency, request round-trip latency, and
-     retransmissions per request. *)
+  (* End-to-end syscall latency per kind, indexed by [P.syscall_tag]. *)
   syscall_latency : Obs.Registry.family;
-  ikc_latency : Obs.Registry.family;
-  ikc_retries : Obs.Registry.family;
 }
 
 (* Revocation operation state (Algorithm 1). One [revoke_op] exists per
@@ -177,47 +158,6 @@ and migrate_op = {
   mutable mtimer : Engine.handle option;
 }
 
-(* Responder-side record of an op-tagged request: op ids are globally
-   unique (minted by the requester), so a redelivered request —
-   retransmission or fault-injected duplicate — is recognised and, once
-   finished, answered from the cached reply instead of re-executed. *)
-type remote_state = R_in_progress | R_done of { dst : int; msg : P.ikc }
-
-(* A request awaiting a reply, retransmitted on timeout. [rstart] and
-   [rattempts] feed the per-op latency and retry histograms. [rtimer]
-   is the pending retransmission tick, cancelled when the reply
-   arrives — otherwise every successfully-acked message would leave a
-   dead event on the engine heap until its timeout expired. *)
-type retry_state = {
-  rdst : int;
-  rmsg : P.ikc;
-  rstart : int64;
-  mutable rattempts : int;
-  mutable rtimer : Engine.handle option;
-}
-
-(* Idempotency-cache entries scheduled for eviction once the retry
-   window has safely elapsed (no retransmission of the request can
-   still be in flight by then). *)
-type evict_key = Ev_remote of int | Ev_ack of int
-
-(* Outgoing coalescing state for one peer kernel (batching mode): the
-   first message to a peer opens a DTU slot window ([bw_until]);
-   messages issued before it closes queue in [bq] and leave as one
-   framed [Ik_batch] when the window's flush tick fires. *)
-type batch_state = { bq : P.ikc Queue.t; mutable bw_until : int64 }
-
-(* Receiver-side credit bookkeeping for [Ik_batch] frames from one
-   peer: a frame consumed ONE sender credit but each inner message
-   returns one, so all but one return per frame is absorbed ([o_left]).
-   Piggybacked acks on absorbed returns are stashed in [o_acks] and
-   ride the next credit message that does go out. *)
-type owed = { mutable o_left : int; mutable o_acks : int list }
-
-(* Send-credit window toward one peer kernel (paper §5.1): credits
-   left, and the messages parked until one returns. *)
-type window = { mutable avail : int; stalled : (P.ikc * int) Queue.t }
-
 type t = {
   id : int;
   pe : int;
@@ -228,9 +168,8 @@ type t = {
   cost : Cost.t;
   env : env;
   (* Every kernel of the fleet by id, shared by all of them. Kernel ids
-     are fixed at boot, so this and the per-peer arrays below are dense
-     arrays indexed by kernel id: routing a message is a bounds check
-     and a read, with no hashing. *)
+     are fixed at boot, so this is a dense array indexed by kernel id:
+     finding a peer is a bounds check and a read, with no hashing. *)
   registry : t option array;
   kernel_count : int;
   mapdb : Mapdb.t;
@@ -245,23 +184,11 @@ type t = {
   (* DTU endpoints configured for a capability: invalidated when the
      capability is revoked (NoC-level isolation enforcement). *)
   activations : (int * int) Key.Table.t;
-  (* Per peer kernel; [None] until the peer is first contacted, so a
-     snapshot lists exactly the peers a run has talked to. *)
-  credits : window option array;
-  batch_queues : batch_state option array;
-  batch_owed : owed option array;
-  remote_ops : remote_state Int_table.t;
-  (* Requests awaiting a reply, retransmitted on timeout. *)
-  retry_msgs : retry_state Int_table.t;
-  (* Completed delegate handshakes: op -> (dst, ack), kept so a
-     redelivered reply can trigger an ack resend if the ack was lost. *)
-  completed_acks : (int * P.ikc) Int_table.t;
-  (* FIFO of (expiry, entry) for the two idempotency caches above;
-     expiries are monotone because entries are pushed at event time. *)
-  evictions : (int64 * evict_key) Queue.t;
+  transport : Transport.t;
   obs : Obs.Registry.t;
   trace : Obs.Trace.t;
   ctr : counters;
+  tctr : Transport.counters;
   mutable next_op : int;
   (* Recycled per-operation scratch (host-side, never snapshotted):
      marked/cont-root sets for revoke ops and destination-grouping
@@ -272,128 +199,8 @@ type t = {
   dstmap_pool : Key.t list Int_table.t Pool.t;
 }
 
-(* Retransmission backoff: the wait before attempt [i] doubles up to a
-   64x cap. A fixed interval turned heavy (fault-free) congestion into
-   false [E_timeout]s — a reply delayed behind a long server queue was
-   declared lost after retry_max * retry_timeout cycles, which large
-   experiments exceed. Backoff keeps loss recovery fast (first resend
-   after one timeout) while tolerating ~50x longer queueing, and stops
-   retransmission storms from feeding the very congestion that delayed
-   the reply. *)
-let retry_interval cost i =
-  let shift = if i < 6 then i else 6 in
-  Int64.mul cost.Cost.retry_timeout (Int64.of_int (1 lsl shift))
-
-(* Worst-case span of a full retry schedule: sum of all backoff
-   intervals (attempts 0..retry_max), used to size the idempotency-cache
-   retention window. *)
-let retry_window cost =
-  let rec total i acc =
-    if i > cost.Cost.retry_max then acc else total (i + 1) (Int64.add acc (retry_interval cost i))
-  in
-  total 0 0L
-
-(* Bucket bounds (cycles) for syscall / IKC latency histograms. *)
-let latency_buckets =
-  [| 1_000.; 2_500.; 5_000.; 10_000.; 25_000.; 50_000.; 100_000.; 250_000.; 500_000.; 1_000_000. |]
-
-(* Bucket bounds for per-op retransmission counts. *)
-let retry_buckets = [| 0.; 1.; 2.; 3.; 5.; 10.; 20. |]
-
 (* Bucket bounds for the syscall-queue depth at the kernel PE. *)
 let queue_depth_buckets = [| 0.; 1.; 2.; 4.; 8.; 16.; 32.; 64. |]
-
-let create ?obs ?trace ~engine ~fabric ~grid ~id ~pe ~membership ~cost ~env ~registry () =
-  let kernel_count = Array.length registry in
-  let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
-  let trace = match trace with Some b -> b | None -> Obs.Trace.create ~capacity:0 in
-  let prefix = "kernel" ^ string_of_int id ^ "." in
-  let name suffix = prefix ^ suffix in
-  let cnt suffix = Obs.Registry.counter obs (name suffix) in
-  let family suffix names buckets =
-    Obs.Registry.family obs ~prefix:(name suffix ^ ".") ~names ~buckets
-  in
-  let ctr : counters =
-    {
-      syscalls = cnt "syscalls";
-      cap_ops = cnt "cap_ops";
-      exchanges_local = cnt "exchanges_local";
-      exchanges_spanning = cnt "exchanges_spanning";
-      revokes_local = cnt "revokes_local";
-      revokes_spanning = cnt "revokes_spanning";
-      caps_created = cnt "caps_created";
-      caps_deleted = cnt "caps_deleted";
-      ikc_sent = cnt "ikc_sent";
-      ikc_received = cnt "ikc_received";
-      credit_stalls = cnt "credit_stalls";
-      credit_overrefund = cnt "credit_overrefund";
-      retries = cnt "retries";
-      retry_exhausted = cnt "retry_exhausted";
-      dup_ikc = cnt "dup_ikc";
-      batches_sent = cnt "batches_sent";
-      batched_msgs = cnt "batched_msgs";
-      batch_occupancy =
-        Obs.Registry.histogram obs (name "batch_occupancy") ~buckets:[| 2.; 4.; 8.; 16.; 32.; 64. |];
-      revoke_sweep_probes = cnt "revoke_sweep_probes";
-      queue_depth = Obs.Registry.histogram obs (name "queue_depth") ~buckets:queue_depth_buckets;
-      syscall_latency = family "syscall_latency" P.syscall_names latency_buckets;
-      ikc_latency = family "ikc_latency" P.ikc_names latency_buckets;
-      ikc_retries = family "ikc_retries" P.ikc_names retry_buckets;
-    }
-  in
-  let t =
-    {
-      id;
-      pe;
-      engine;
-      fabric;
-      grid;
-      membership;
-      cost;
-      env;
-      registry;
-      kernel_count;
-      mapdb = Mapdb.create ();
-      server = Server.create engine ~name:(Printf.sprintf "kernel%d" id);
-      threads = Thread_pool.create ~vpes:0 ~kernels:kernel_count;
-      vpes = Int_table.create 32;
-      directory = Hashtbl.create 16;
-      local_services = Hashtbl.create 8;
-      services_by_key = Key.Table.create 8;
-      pending_handlers = Hashtbl.create 8;
-      pending_ops = Int_table.create 32;
-      activations = Key.Table.create 16;
-      credits = Array.make kernel_count None;
-      batch_queues = Array.make kernel_count None;
-      batch_owed = Array.make kernel_count None;
-      remote_ops = Int_table.create 32;
-      retry_msgs = Int_table.create 16;
-      completed_acks = Int_table.create 16;
-      evictions = Queue.create ();
-      obs;
-      trace;
-      ctr;
-      next_op = 0;
-      keyset_pool =
-        Pool.create ~prealloc:2
-          ~make:(fun () -> Key.Table.create 64)
-          ~reset:Key.Table.reset ();
-      dstmap_pool =
-        Pool.create ~prealloc:1 ~make:(fun () -> Int_table.create 8) ~reset:Int_table.reset ();
-    }
-  in
-  registry.(id) <- Some t;
-  (* Gauges sample live kernel state at snapshot time. *)
-  let gauge suffix f = Obs.Registry.gauge obs (name suffix) f in
-  gauge "occupancy" (fun () ->
-      let now = Int64.to_float (Engine.now engine) in
-      if now <= 0.0 then 0.0 else Int64.to_float (Server.busy_cycles t.server) /. now);
-  gauge "busy_cycles" (fun () -> Int64.to_float (Server.busy_cycles t.server));
-  gauge "threads.size" (fun () -> float_of_int (Thread_pool.size t.threads));
-  gauge "threads.in_use" (fun () -> float_of_int (Thread_pool.in_use t.threads));
-  gauge "threads.max_in_use" (fun () -> float_of_int (Thread_pool.max_in_use t.threads));
-  gauge "threads.waiting" (fun () -> float_of_int (Thread_pool.waiting t.threads));
-  t
 
 let id t = t.id
 let pe t = t.pe
@@ -420,15 +227,15 @@ let stats t : stats =
     revokes_spanning = v t.ctr.revokes_spanning;
     caps_created = v t.ctr.caps_created;
     caps_deleted = v t.ctr.caps_deleted;
-    ikc_sent = v t.ctr.ikc_sent;
+    ikc_sent = v t.tctr.ikc_sent;
     ikc_received = v t.ctr.ikc_received;
-    credit_stalls = v t.ctr.credit_stalls;
-    credit_overrefund = v t.ctr.credit_overrefund;
-    retries = v t.ctr.retries;
-    retry_exhausted = v t.ctr.retry_exhausted;
-    dup_ikc = v t.ctr.dup_ikc;
-    batches_sent = v t.ctr.batches_sent;
-    batched_msgs = v t.ctr.batched_msgs;
+    credit_stalls = v t.tctr.credit_stalls;
+    credit_overrefund = v t.tctr.credit_overrefund;
+    retries = v t.tctr.retries;
+    retry_exhausted = v t.tctr.retry_exhausted;
+    dup_ikc = v t.tctr.dup_ikc;
+    batches_sent = v t.tctr.batches_sent;
+    batched_msgs = v t.tctr.batched_msgs;
     latencies =
       List.map
         (fun (name, h) -> (name, Obs.Registry.acc h))
@@ -437,24 +244,8 @@ let stats t : stats =
 
 let obs t = t.obs
 
-let idempotency_cache_sizes t =
-  (Int_table.length t.remote_ops, Int_table.length t.completed_acks)
-
-(* [f peer x] for every contacted peer of a per-peer array, descending,
-   so consing builds a list sorted by peer id. *)
-let fold_peers f a acc =
-  let acc = ref acc in
-  for peer = Array.length a - 1 downto 0 do
-    match a.(peer) with Some x -> acc := f peer x !acc | None -> ()
-  done;
-  !acc
-
-(* [f peer x] for every contacted peer, ascending. *)
-let iter_peers f a = Array.iteri (fun peer -> function Some x -> f peer x | None -> ()) a
-
-(* Per-peer send-credit windows, sorted by peer id. The fuzz credit
-   oracle asserts every window stays within [0, Cost.max_inflight]. *)
-let credit_windows t = fold_peers (fun peer w acc -> (peer, w.avail) :: acc) t.credits []
+let idempotency_cache_sizes t = Transport.idempotency_cache_sizes t.transport
+let credit_windows t = Transport.credit_windows t.transport
 
 let cost t = t.cost
 
@@ -495,6 +286,7 @@ type snapshot = {
 let sorted_keys tbl = Int_table.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort Int.compare
 
 let snapshot t =
+  let ts = Transport.snapshot t.transport in
   {
     s_mapdb = Mapdb.snapshot t.mapdb;
     s_membership = Membership.snapshot t.membership;
@@ -503,33 +295,29 @@ let snapshot t =
       |> List.sort (fun (a, _) (b, _) -> String.compare a b);
     s_next_op = t.next_op;
     s_pending_ops = sorted_keys t.pending_ops;
-    s_retry_ops = sorted_keys t.retry_msgs;
-    s_remote_ops = sorted_keys t.remote_ops;
-    s_completed_acks = sorted_keys t.completed_acks;
-    s_evictions = Queue.length t.evictions;
-    s_credits =
-      fold_peers (fun peer w acc -> (peer, w.avail, Queue.length w.stalled) :: acc) t.credits [];
-    s_batch = fold_peers (fun peer bs acc -> (peer, Queue.length bs.bq) :: acc) t.batch_queues [];
-    s_batch_owed =
-      fold_peers
-        (fun peer o acc -> (peer, o.o_left, List.sort Int.compare o.o_acks) :: acc)
-        t.batch_owed [];
+    s_retry_ops = ts.Transport.s_retry_ops;
+    s_remote_ops = ts.Transport.s_remote_ops;
+    s_completed_acks = ts.Transport.s_completed_acks;
+    s_evictions = ts.Transport.s_evictions;
+    s_credits = ts.Transport.s_credits;
+    s_batch = ts.Transport.s_batch;
+    s_batch_owed = ts.Transport.s_batch_owed;
     s_vpes = sorted_keys t.vpes;
   }
 
 let restore t s =
-  (* The idempotency caches (remote ops, completed acks) and eviction
-     queue are validated too: they only ever grow during traffic, so a
-     control plane that handled syscalls since the snapshot is caught
-     here even when its event queue drained back to the snapshot's
-     shape. *)
-  if
-    sorted_keys t.pending_ops <> s.s_pending_ops
-    || sorted_keys t.retry_msgs <> s.s_retry_ops
-    || sorted_keys t.remote_ops <> s.s_remote_ops
-    || sorted_keys t.completed_acks <> s.s_completed_acks
-    || Queue.length t.evictions <> s.s_evictions
-  then
+  let ts =
+    {
+      Transport.s_retry_ops = s.s_retry_ops;
+      s_remote_ops = s.s_remote_ops;
+      s_completed_acks = s.s_completed_acks;
+      s_evictions = s.s_evictions;
+      s_credits = s.s_credits;
+      s_batch = s.s_batch;
+      s_batch_owed = s.s_batch_owed;
+    }
+  in
+  if sorted_keys t.pending_ops <> s.s_pending_ops || not (Transport.matches t.transport ts) then
     invalid_arg
       "Kernel.restore: live control plane does not match the snapshot (pending operations are \
        restored only by whole-image checkpoints)";
@@ -538,38 +326,7 @@ let restore t s =
   Hashtbl.reset t.directory;
   List.iter (fun (name, key) -> Hashtbl.replace t.directory name key) s.s_directory;
   t.next_op <- s.s_next_op;
-  List.iter
-    (fun (peer, credits, queued) ->
-      match t.credits.(peer) with
-      | Some w ->
-        if Queue.length w.stalled <> queued then
-          invalid_arg "Kernel.restore: queued credit-stalled sends do not match the snapshot";
-        w.avail <- credits
-      | None ->
-        if queued <> 0 then
-          invalid_arg "Kernel.restore: queued credit-stalled sends do not match the snapshot";
-        t.credits.(peer) <- Some { avail = credits; stalled = Queue.create () })
-    s.s_credits;
-  (* Batch queues hold closures' worth of in-flight protocol state only
-     via plain messages awaiting a flush tick; like credit queues they
-     are validated, not rebuilt (whole-image checkpoints carry them). *)
-  List.iter
-    (fun (peer, queued) ->
-      let live =
-        match t.batch_queues.(peer) with Some bs -> Queue.length bs.bq | None -> 0
-      in
-      if live <> queued then
-        invalid_arg "Kernel.restore: queued batched sends do not match the snapshot")
-    s.s_batch;
-  (* Owed-credit state is plain data and restores fully. *)
-  List.iter
-    (fun (peer, left, acks) ->
-      match t.batch_owed.(peer) with
-      | Some o ->
-        o.o_left <- left;
-        o.o_acks <- acks
-      | None -> t.batch_owed.(peer) <- Some { o_left = left; o_acks = acks })
-    s.s_batch_owed
+  Transport.restore t.transport ts
 
 let lookup_service t name = Hashtbl.find_opt t.directory name
 
@@ -586,7 +343,8 @@ let fresh_op t =
 let owner_kernel t key = Membership.kernel_of_key t.membership key
 
 (* The kernel with id [k]; [None] for an id outside the fleet. *)
-let find_kernel t k = if k >= 0 && k < Array.length t.registry then t.registry.(k) else None
+let find_kernel_in registry k = if k >= 0 && k < Array.length registry then registry.(k) else None
+let find_kernel t k = find_kernel_in t.registry k
 let is_kernel t k = match find_kernel t k with Some _ -> true | None -> false
 
 (* Every other kernel of the fleet, in kernel-id order: broadcasts
@@ -617,56 +375,6 @@ let job t f = Server.submit_work t.server f
 let trace_event t ~kind ~op ~src ~dst ~detail =
   Obs.Trace.record t.trace ~ts:(Engine.now t.engine) ~kind ~op ~src ~dst ~detail
 
-(* Operation id carried by an IKC, or -1 for untagged messages. *)
-let ikc_op : P.ikc -> int = function
-  | P.Ik_obtain_req { op; _ }
-  | P.Ik_obtain_reply { op; _ }
-  | P.Ik_delegate_req { op; _ }
-  | P.Ik_delegate_reply { op; _ }
-  | P.Ik_delegate_ack { op; _ }
-  | P.Ik_open_sess_req { op; _ }
-  | P.Ik_open_sess_reply { op; _ }
-  | P.Ik_revoke_req { op; _ }
-  | P.Ik_revoke_reply { op; _ }
-  | P.Ik_migrate_update { op; _ }
-  | P.Ik_migrate_ack { op }
-  | P.Ik_migrate_caps { op; _ }
-  | P.Ik_remove_child { op; _ }
-  | P.Ik_srv_announce { op; _ }
-  | P.Ik_fleet_state { op; _ }
-  | P.Ik_part_update { op; _ }
-  | P.Ik_part_records { op; _ } ->
-    op
-  | P.Ik_shutdown _ | P.Ik_batch _ -> -1
-
-(* How long idempotency-cache entries must be kept: once the full retry
-   budget plus slack has elapsed, no retransmission of the request (or
-   redelivery of its reply) can still be in flight. *)
-let retention t =
-  Int64.add (retry_window t.cost) (Int64.mul 2L t.cost.Cost.retry_timeout)
-
-(* Lazily drop expired idempotency-cache entries; called on kernel
-   activity (syscall entry, IKC delivery) rather than from timers so
-   drain-based measurements see no extra events. *)
-let evict_expired t =
-  let now = Engine.now t.engine in
-  let continue = ref true in
-  while !continue && not (Queue.is_empty t.evictions) do
-    let expiry, key = Queue.peek t.evictions in
-    if Int64.compare expiry now > 0 then continue := false
-    else begin
-      ignore (Queue.pop t.evictions);
-      match key with
-      | Ev_remote op -> (
-        (* Only a finished op may be dropped: an in-progress entry is
-           still the dedup guard for its request. *)
-        match Int_table.find t.remote_ops op with
-        | R_done _ -> Int_table.remove t.remote_ops op
-        | R_in_progress | (exception Not_found) -> ())
-      | Ev_ack op -> Int_table.remove t.completed_acks op
-    end
-  done
-
 (* Syscall reply: message from the kernel PE back to the VPE's PE. *)
 let send_reply t (vpe : Vpe.t) (r : P.reply) =
   Fabric.send t.fabric ~src:t.pe ~dst:vpe.Vpe.pe ~bytes:(c t).Cost.reply_bytes (fun () ->
@@ -686,212 +394,13 @@ let finish_syscall t vpe r =
   Thread_pool.release t.threads;
   send_reply t vpe r
 
-(* ------------------------------------------------------------------ *)
-(* Inter-kernel transport with in-flight limiting (paper §4.1)         *)
-
-(* [peer] must be a kernel of the fleet ([ikc_send] checks). *)
-let credit_state t peer =
-  match t.credits.(peer) with
-  | Some w -> w
-  | None ->
-    let w = { avail = Cost.max_inflight; stalled = Queue.create () } in
-    t.credits.(peer) <- Some w;
-    w
-
-let rec transmit_ikc t ~dst (ikc : P.ikc) =
-  match find_kernel t dst with
-  | None -> Log.err (fun m -> m "kernel %d: no peer kernel %d" t.id dst)
-  | Some peer ->
-    Obs.Registry.incr t.ctr.ikc_sent;
-    trace_event t ~kind:"ikc_send" ~op:(ikc_op ikc) ~src:t.id ~dst ~detail:(P.ikc_name ikc);
-    (* A framed multi-message is one fabric transfer whose size grows
-       with its payload, so coalescing still pays serialisation latency
-       for every inner message — only per-message overheads amortise. *)
-    let bytes =
-      match ikc with
-      | P.Ik_batch { msgs; _ } ->
-        (c t).Cost.batch_header_bytes + (List.length msgs * (c t).Cost.ikc_bytes)
-      (* A bulk partition handoff ships its record wave as one framed
-         transfer sized like a batch: header plus one slot per record. *)
-      | P.Ik_part_records { records; _ } ->
-        (c t).Cost.batch_header_bytes + (max 1 (List.length records) * (c t).Cost.ikc_bytes)
-      | _ -> (c t).Cost.ikc_bytes
-    in
-    Fabric.send ~tag:(P.ikc_name ikc) t.fabric ~src:t.pe ~dst:peer.pe ~bytes (fun () ->
-        deliver_ikc peer ~src_kernel:t.id ikc)
-
-(* Credit-gated dispatch: consume one in-flight credit or park the
-   message until a credit returns (paper §5.1, four per peer pair). *)
-and dispatch_ikc t ~dst ikc =
-  let w = credit_state t dst in
-  if w.avail > 0 then begin
-    w.avail <- w.avail - 1;
-    transmit_ikc t ~dst ikc
-  end
-  else begin
-    Obs.Registry.incr t.ctr.credit_stalls;
-    trace_event t ~kind:"credit_stall" ~op:(ikc_op ikc) ~src:t.id ~dst ~detail:(P.ikc_name ikc);
-    Queue.push (ikc, dst) w.stalled
-  end
-
-(* DTU slot-window coalescing (batching mode). The leader of a wave —
-   the first message to a peer with no window open — dispatches
-   immediately and opens a [batch_window]-cycle window; followers queue
-   and leave together as one framed [Ik_batch] when the flush tick
-   fires. Leader-dispatches-immediately means an isolated message (the
-   common case on a revocation chain) sees zero added latency. *)
-and ikc_send t ~dst ikc =
-  if dst = t.id then invalid_arg "Kernel.ikc_send: message to self";
-  if not (is_kernel t dst) then
-    (* No kernel behind [dst]: no credit window or batch queue either;
-       [transmit_ikc] logs and drops the message. *)
-    transmit_ikc t ~dst ikc
-  else if Cost.batching (c t) then enqueue_batch t ~dst ikc
-  else dispatch_ikc t ~dst ikc
-
-and enqueue_batch t ~dst ikc =
-  let bs =
-    match t.batch_queues.(dst) with
-    | Some bs -> bs
-    | None ->
-      let bs = { bq = Queue.create (); bw_until = Int64.min_int } in
-      t.batch_queues.(dst) <- Some bs;
-      bs
-  in
-  if Int64.compare (Engine.now t.engine) bs.bw_until < 0 then Queue.push ikc bs.bq
-  else begin
-    dispatch_ikc t ~dst ikc;
-    open_batch_window t ~dst bs
-  end
-
-and open_batch_window t ~dst bs =
-  bs.bw_until <- Int64.add (Engine.now t.engine) (c t).Cost.batch_window;
-  Engine.after t.engine (c t).Cost.batch_window (fun () -> flush_batch t ~dst bs)
-
-and flush_batch t ~dst bs =
-  match Queue.length bs.bq with
-  | 0 -> ()  (* window closes; next message becomes a new leader *)
-  | 1 ->
-    dispatch_ikc t ~dst (Queue.pop bs.bq);
-    open_batch_window t ~dst bs
-  | n ->
-    let msgs = List.rev (Queue.fold (fun acc m -> m :: acc) [] bs.bq) in
-    Queue.clear bs.bq;
-    Obs.Registry.incr t.ctr.batches_sent;
-    Obs.Registry.add t.ctr.batched_msgs n;
-    Obs.Registry.observe_int t.ctr.batch_occupancy n;
-    dispatch_ikc t ~dst (P.Ik_batch { src_kernel = t.id; msgs });
-    open_batch_window t ~dst bs
-
-and receive_credit t ~peer =
-  (* A retransmission toward an id outside the fleet refunds nothing:
-     its sends were dropped before taking a credit. *)
-  if is_kernel t peer then begin
-    let w = credit_state t peer in
-    if Queue.is_empty w.stalled then begin
-      (* Clamp at the §5.1 bound: a retransmission refund racing the
-         original message's credit return (or a fault-injected duplicate
-         returning credit twice) must not widen the window permanently. *)
-      if w.avail >= Cost.max_inflight then Obs.Registry.incr t.ctr.credit_overrefund
-      else w.avail <- w.avail + 1
-    end
-    else begin
-      let ikc, dst = Queue.pop w.stalled in
-      transmit_ikc t ~dst ikc
-    end
-  end
-
-(* The DTU frees the message slot as soon as the kernel has fetched the
-   message, which returns the sender's credit; we model that at the end
-   of the first processing job for the message. [ack_op] piggybacks a
-   delivery acknowledgement for an op-tagged notification on the credit
-   message — the credit channel is never dropped or duplicated by fault
-   plans, so the ack is reliable and costs no extra fabric transfer.
-   For inner messages of an [Ik_batch] frame all but one credit return
-   per frame is absorbed ([owed]); their acks are stashed and ride the
-   next credit message to the same peer. *)
-and return_credit ?ack_op t ~src_kernel =
-  match find_kernel t src_kernel with
-  | None -> ()
-  | Some peer -> (
-    match t.batch_owed.(src_kernel) with
-    | Some o when o.o_left > 0 ->
-      o.o_left <- o.o_left - 1;
-      (match ack_op with Some op -> o.o_acks <- op :: o.o_acks | None -> ())
-    | owed ->
-      let acks =
-        match owed with
-        | Some o ->
-          let stashed = o.o_acks in
-          o.o_acks <- [];
-          stashed
-        | None -> []
-      in
-      let acks = match ack_op with Some op -> op :: acks | None -> acks in
-      Fabric.send ~tag:"credit" t.fabric ~src:t.pe ~dst:peer.pe ~bytes:(c t).Cost.credit_bytes
-        (fun () ->
-          receive_credit peer ~peer:t.id;
-          List.iter (fun op -> clear_retry peer op) acks))
-
-(* ------------------------------------------------------------------ *)
-(* Reliability: timeout-driven retransmission + duplicate detection.
-   Op-tagged requests are retransmitted until their reply arrives (or
-   the attempt budget runs out); responders answer redeliveries from a
-   cache. Each retransmission refunds one credit first, on the
-   assumption the lost message's credit was leaked with it — so bounded
-   drops cannot wedge the in-flight window permanently. *)
-
-and register_retry t op ~dst msg =
-  let st = { rdst = dst; rmsg = msg; rstart = Engine.now t.engine; rattempts = 0; rtimer = None } in
-  Int_table.replace t.retry_msgs op st;
-  if (c t).Cost.retry_max > 0 then begin
-    let rec tick () =
-      match Int_table.find t.retry_msgs op with
-      | exception Not_found -> ()
-      | st ->
-        st.rtimer <- None;
-        if st.rattempts >= (c t).Cost.retry_max then begin
-          (* Budget exhausted: stop retransmitting and fail the pending
-             operation explicitly instead of leaving the syscall (and
-             its kernel thread) parked forever. *)
-          Int_table.remove t.retry_msgs op;
-          Obs.Registry.incr t.ctr.retry_exhausted;
-          trace_event t ~kind:"ikc_timeout" ~op ~src:t.id ~dst:st.rdst
-            ~detail:(P.ikc_name st.rmsg);
-          fail_exhausted_op t op
-        end
-        else begin
-          st.rattempts <- st.rattempts + 1;
-          Obs.Registry.incr t.ctr.retries;
-          trace_event t ~kind:"ikc_retry" ~op ~src:t.id ~dst:st.rdst
-            ~detail:(P.ikc_name st.rmsg);
-          receive_credit t ~peer:st.rdst;
-          ikc_send t ~dst:st.rdst st.rmsg;
-          st.rtimer <-
-            Some (Engine.after_cancellable t.engine (retry_interval (c t) st.rattempts) tick)
-        end
-    in
-    st.rtimer <- Some (Engine.after_cancellable t.engine (retry_interval (c t) 0) tick)
-  end
-
-and clear_retry t op =
-  match Int_table.find t.retry_msgs op with
-  | exception Not_found -> ()
-  | st ->
-    Int_table.remove t.retry_msgs op;
-    Option.iter (Engine.cancel t.engine) st.rtimer;
-    let kind = P.ikc_tag st.rmsg in
-    Obs.Registry.observe_in t.ctr.ikc_latency kind
-      (Int64.to_int (Int64.sub (Engine.now t.engine) st.rstart));
-    Obs.Registry.observe_in t.ctr.ikc_retries kind st.rattempts
-
 (* Retry budget exhausted for [op]: the peer is presumed unreachable.
    Requester-side operations answer the parked syscall with
    [E_timeout]; a responder-side delegate handshake aborts its
    uncommitted capability and releases the held thread; a revoke wave
    releases its outstanding count so the operation can complete. Late
    replies arriving after this hit the regular duplicate paths. *)
-and fail_exhausted_op t op =
+let rec fail_exhausted_op t op =
   match Int_table.find_opt t.pending_ops op with
   | None -> ()
   | Some (P_obtain { client }) ->
@@ -920,8 +429,8 @@ and fail_exhausted_op t op =
       | Some parent_key ->
         let unlink_op = fresh_op t in
         let msg = P.Ik_remove_child { op = unlink_op; parent_key; child_key } in
-        ikc_send t ~dst:src_kernel msg;
-        register_retry t unlink_op ~dst:src_kernel msg
+        Transport.send t.transport ~dst:src_kernel msg;
+        Transport.register_retry t.transport unlink_op ~dst:src_kernel msg
       | None -> ())
     | None -> ());
     Thread_pool.release t.threads
@@ -943,40 +452,6 @@ and fail_exhausted_op t op =
   | Some (P_revoke _ | P_migrate _ | P_fleet _ | P_part _) ->
     (* Not retried through [register_retry]; nothing to fail. *)
     ()
-
-(* Returns [true] when the request was seen before; credit is returned
-   either way, and a finished op re-sends its cached reply. *)
-and remote_dup t ~src_kernel ~op =
-  match Int_table.find t.remote_ops op with
-  | exception Not_found ->
-    Int_table.replace t.remote_ops op R_in_progress;
-    false
-  | R_in_progress ->
-    Obs.Registry.incr t.ctr.dup_ikc;
-    return_credit t ~src_kernel;
-    true
-  | R_done { dst; msg } ->
-    Obs.Registry.incr t.ctr.dup_ikc;
-    return_credit t ~src_kernel;
-    (* The requester retransmitted, so the cached reply may have been
-       dropped — and a dropped reply leaks the credit it consumed,
-       since replies ride the requester's retry loop instead of their
-       own. Refund it before the resend, exactly like a register_retry
-       retransmission; the window clamp absorbs the refund when the
-       original reply actually survived. On a perfect fabric no reply
-       is ever lost — the retransmission just outran a slow reply — so
-       the refund stands down and the credit flow stays exactly the
-       paper's. *)
-    if Fabric.has_injector t.fabric then receive_credit t ~peer:dst;
-    ikc_send t ~dst msg;
-    true
-
-(* Send the final reply for an op-tagged request and cache it for
-   redeliveries. *)
-and finish_remote t ~op ~dst msg =
-  Int_table.replace t.remote_ops op (R_done { dst; msg });
-  Queue.push (Int64.add (Engine.now t.engine) (retention t), Ev_remote op) t.evictions;
-  ikc_send t ~dst msg
 
 (* ------------------------------------------------------------------ *)
 (* VPE interaction: the kernel asks the other party of an exchange      *)
@@ -1097,8 +572,8 @@ and defer_revoke_child t (op : revoke_op) ?root_unlink child_key =
                   let msg_op = fresh_op t in
                   Int_table.add t.pending_ops msg_op (P_revoke_msg { rop = op });
                   let msg = P.Ik_revoke_req { op = msg_op; src_kernel = t.id; keys } in
-                  ikc_send t ~dst msg;
-                  register_retry t msg_op ~dst msg)
+                  Transport.send t.transport ~dst msg;
+                  Transport.register_retry t.transport msg_op ~dst msg)
                 messages;
               revoke_release t op ))
     | owner ->
@@ -1113,8 +588,8 @@ and defer_revoke_child t (op : revoke_op) ?root_unlink child_key =
               let msg_op = fresh_op t in
               Int_table.add t.pending_ops msg_op (P_revoke_msg { rop = op });
               let msg = P.Ik_revoke_req { op = msg_op; src_kernel = t.id; keys = [ child_key ] } in
-              ikc_send t ~dst:owner msg;
-              register_retry t msg_op ~dst:owner msg ))
+              Transport.send t.transport ~dst:owner msg;
+              Transport.register_retry t.transport msg_op ~dst:owner msg ))
   in
   Engine.after t.engine 200L retry
 
@@ -1197,8 +672,8 @@ and complete_revoke t (op : revoke_op) =
             (fun (dst, parent_key, child_key) ->
               let unlink_op = fresh_op t in
               let msg = P.Ik_remove_child { op = unlink_op; parent_key; child_key } in
-              ikc_send t ~dst msg;
-              register_retry t unlink_op ~dst msg)
+              Transport.send t.transport ~dst msg;
+              Transport.register_retry t.transport unlink_op ~dst msg)
             !remote_unlinks;
           Int_table.remove t.pending_ops op.rop_id;
           let waiters = op.on_complete in
@@ -1210,7 +685,7 @@ and complete_revoke t (op : revoke_op) =
             t.env.on_vpe_exit vpe;
             finish_syscall t vpe P.R_ok
           | Ro_remote (src_kernel, remote_op) ->
-            finish_remote t ~op:remote_op ~dst:src_kernel
+            Transport.finish_remote t.transport ~op:remote_op ~dst:src_kernel
               (P.Ik_revoke_reply { op = remote_op; keys = op.roots; cont = op.cont_out }));
           (* The operation is finished: recycle its scratch sets. *)
           Pool.release t.keyset_pool op.marked_set;
@@ -1273,8 +748,8 @@ and absorb_continuation t (op : revoke_op) keys =
               let msg_op = fresh_op t in
               Int_table.add t.pending_ops msg_op (P_revoke_msg { rop = op });
               let msg = P.Ik_revoke_req { op = msg_op; src_kernel = t.id; keys } in
-              ikc_send t ~dst msg;
-              register_retry t msg_op ~dst msg)
+              Transport.send t.transport ~dst msg;
+              Transport.register_retry t.transport msg_op ~dst msg)
             messages;
           revoke_release t op ))
 
@@ -1387,8 +862,8 @@ and start_revoke t ~origin ~roots ~own ~base_cost =
               let msg_op = fresh_op t in
               Int_table.add t.pending_ops msg_op (P_revoke_msg { rop = op });
               let msg = P.Ik_revoke_req { op = msg_op; src_kernel = t.id; keys } in
-              ikc_send t ~dst msg;
-              register_retry t msg_op ~dst msg)
+              Transport.send t.transport ~dst msg;
+              Transport.register_retry t.transport msg_op ~dst msg)
             messages;
           if op.outstanding = 0 then complete_revoke t op ))
 
@@ -1430,8 +905,8 @@ and remote_obtain t ~(client : Vpe.t) ~dst_kernel ~donor =
     P.Ik_obtain_req
       { op; src_kernel = t.id; obj_reserved; client_pe = client.Vpe.pe; client_vpe = client.Vpe.id; donor }
   in
-  ikc_send t ~dst:dst_kernel msg;
-  register_retry t op ~dst:dst_kernel msg
+  Transport.send t.transport ~dst:dst_kernel msg;
+  Transport.register_retry t.transport op ~dst:dst_kernel msg
 
 (* ------------------------------------------------------------------ *)
 (* Syscall handling                                                    *)
@@ -1488,8 +963,8 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
                     let msg =
                       P.Ik_srv_announce { op = ann_op; name; srv_key = key; kernel = t.id }
                     in
-                    ikc_send t ~dst:kid msg;
-                    register_retry t ann_op ~dst:kid msg)
+                    Transport.send t.transport ~dst:kid msg;
+                    Transport.register_retry t.transport ann_op ~dst:kid msg)
                   (peer_ids t);
                 finish_syscall t vpe (P.R_sel sel) )
           end)
@@ -1591,8 +1066,8 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
                 let msg =
                   P.Ik_open_sess_req { op; src_kernel = t.id; srv_key; sess_key; client_vpe = vpe.Vpe.id }
                 in
-                ikc_send t ~dst:srv_kernel msg;
-                register_retry t op ~dst:srv_kernel msg )
+                Transport.send t.transport ~dst:srv_kernel msg;
+                Transport.register_retry t.transport op ~dst:srv_kernel msg )
           end)
   | P.Sys_obtain { sess; args } ->
     job t (fun () ->
@@ -1692,8 +1167,8 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
                         recv = P.Recv_vpe recv_vpe;
                       }
                   in
-                  ikc_send t ~dst:recv.Vpe.kernel msg;
-                  register_retry t op ~dst:recv.Vpe.kernel msg )
+                  Transport.send t.transport ~dst:recv.Vpe.kernel msg;
+                  Transport.register_retry t.transport op ~dst:recv.Vpe.kernel msg )
             end))
   | P.Sys_delegate { sess; sel; args } ->
     job t (fun () ->
@@ -1739,8 +1214,8 @@ and handle_syscall t (vpe : Vpe.t) (call : P.syscall) =
                           recv = P.Recv_service { srv_key = srv; ident; args };
                         }
                     in
-                    ikc_send t ~dst:srv_kernel msg;
-                    register_retry t op ~dst:srv_kernel msg )
+                    Transport.send t.transport ~dst:srv_kernel msg;
+                    Transport.register_retry t.transport op ~dst:srv_kernel msg )
               end)
           | Cap.Vpe_cap _ | Cap.Mem_cap _ | Cap.Srv_cap _ | Cap.Rgate_cap _ | Cap.Sgate_cap _
           | Cap.Kernel_cap _ ->
@@ -1847,69 +1322,69 @@ and local_delegate t ~(client : Vpe.t) ~src_key ~(recv : Vpe.t) =
 (* Inter-kernel call handling                                          *)
 
 and deliver_ikc t ~src_kernel (ikc : P.ikc) =
-  evict_expired t;
+  Transport.evict_expired t.transport;
   Obs.Registry.observe_int t.ctr.queue_depth (Server.queue_length t.server);
   Obs.Registry.incr t.ctr.ikc_received;
-  trace_event t ~kind:"ikc_recv" ~op:(ikc_op ikc) ~src:src_kernel ~dst:t.id
+  trace_event t ~kind:"ikc_recv" ~op:(P.ikc_op ikc) ~src:src_kernel ~dst:t.id
     ~detail:(P.ikc_name ikc);
   match ikc with
   | P.Ik_obtain_req { op; src_kernel = origin; obj_reserved; client_pe; client_vpe; donor } ->
-    if remote_dup t ~src_kernel ~op then ()
+    if Transport.remote_dup t.transport ~src_kernel ~op then ()
     else
       Thread_pool.acquire t.threads (fun () ->
           job t (fun () ->
               let cost = Int64.add (c t).Cost.exchange_remote (Cost.ddl (c t) 2) in
               ( cost,
                 fun () ->
-                  return_credit t ~src_kernel;
+                  Transport.return_credit t.transport ~src_kernel;
                   handle_obtain_req t ~origin ~op ~obj_reserved ~client_pe ~client_vpe ~donor )))
   | P.Ik_obtain_reply { op; result } ->
     job t (fun () ->
         let cost = Int64.add (c t).Cost.exchange_create (Cost.ddl (c t) 2) in
         ( cost,
           fun () ->
-            return_credit t ~src_kernel;
+            Transport.return_credit t.transport ~src_kernel;
             handle_obtain_reply t ~op ~result ))
   | P.Ik_delegate_req { op; src_kernel = origin; parent_key; kind; recv } ->
-    if remote_dup t ~src_kernel ~op then ()
+    if Transport.remote_dup t.transport ~src_kernel ~op then ()
     else
       Thread_pool.acquire t.threads (fun () ->
           job t (fun () ->
               let cost = Int64.add (c t).Cost.exchange_remote (Cost.ddl (c t) 1) in
               ( cost,
                 fun () ->
-                  return_credit t ~src_kernel;
+                  Transport.return_credit t.transport ~src_kernel;
                   handle_delegate_req t ~origin ~op ~parent_key ~kind ~recv )))
   | P.Ik_delegate_reply { op; result } ->
     job t (fun () ->
         let cost = Int64.add (c t).Cost.exchange_create (Cost.ddl (c t) 2) in
         ( cost,
           fun () ->
-            return_credit t ~src_kernel;
+            Transport.return_credit t.transport ~src_kernel;
             handle_delegate_reply t ~op ~result ))
   | P.Ik_delegate_ack { op; child_key; commit } ->
     job t (fun () ->
         ( Cost.ddl (c t) 1,
           fun () ->
-            return_credit t ~src_kernel;
+            Transport.return_credit t.transport ~src_kernel;
             handle_delegate_ack t ~op ~child_key ~commit ))
   | P.Ik_open_sess_req { op; src_kernel = origin; srv_key; sess_key; client_vpe } ->
-    if remote_dup t ~src_kernel ~op then ()
+    if Transport.remote_dup t.transport ~src_kernel ~op then ()
     else
       Thread_pool.acquire t.threads (fun () ->
           job t (fun () ->
               ( (c t).Cost.session_open,
                 fun () ->
-                  return_credit t ~src_kernel;
+                  Transport.return_credit t.transport ~src_kernel;
                   handle_open_sess_req t ~origin ~op ~srv_key ~sess_key ~client_vpe )))
   | P.Ik_open_sess_reply { op; result } ->
     job t (fun () ->
         ( Int64.add (c t).Cost.session_open (Cost.ddl (c t) 1),
           fun () ->
-            return_credit t ~src_kernel;
+            Transport.return_credit t.transport ~src_kernel;
             handle_open_sess_reply t ~op ~result ))
   | P.Ik_revoke_req { op; src_kernel = origin; keys } ->
-    if remote_dup t ~src_kernel ~op then ()
+    if Transport.remote_dup t.transport ~src_kernel ~op then ()
     else
       (* Handled without pausing a thread (Algorithm 1). *)
       return_credit_after_dispatch t ~src_kernel (fun () ->
@@ -1925,11 +1400,11 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
     job t (fun () ->
         ( (c t).Cost.revoke_reply,
           fun () ->
-            return_credit t ~src_kernel;
+            Transport.return_credit t.transport ~src_kernel;
             (match Int_table.find t.pending_ops op with
             | P_revoke_msg { rop } ->
               Int_table.remove t.pending_ops op;
-              clear_retry t op;
+              Transport.clear_retry t.transport op;
               (* Absorb handed-back subtree roots before releasing the
                  outstanding unit, so the operation cannot complete
                  with the continuation still pending. *)
@@ -1940,7 +1415,7 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
             | P_migrate_caps _ | P_fleet _ | P_part _ | P_part_caps _
             | (exception Not_found) ->
               (* Redelivered reply for a message op already retired. *)
-              Obs.Registry.incr t.ctr.dup_ikc) ))
+              Obs.Registry.incr t.tctr.dup_ikc) ))
   | P.Ik_remove_child { op; parent_key; child_key } ->
     job t (fun () ->
         ( Cost.ddl (c t) 2,
@@ -1949,15 +1424,15 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
                (a no-op on an already-pruned parent), and the delivery
                ack piggybacks on the credit return to stop the sender's
                retransmission timer. *)
-            return_credit t ~ack_op:op ~src_kernel;
+            Transport.return_credit t.transport ~ack_op:op ~src_kernel;
             Mapdb.remove_child t.mapdb ~parent:parent_key child_key ))
   | P.Ik_migrate_update { op; src_kernel = origin; pe; new_kernel } ->
-    if remote_dup t ~src_kernel ~op then ()
+    if Transport.remote_dup t.transport ~src_kernel ~op then ()
     else
       job t (fun () ->
           ( 200L,
             fun () ->
-              return_credit t ~src_kernel;
+              Transport.return_credit t.transport ~src_kernel;
               (* Update this kernel's replica of the membership table. The
                  destination kernel marks the PE mid-handoff instead of
                  reassigning: it must not route lookups to itself until the
@@ -1973,12 +1448,12 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
               else if Membership.in_handoff t.membership pe then
                 Membership.complete_handoff t.membership ~pe ~kernel:new_kernel
               else Membership.reassign t.membership ~pe ~kernel:new_kernel;
-              finish_remote t ~op ~dst:origin (P.Ik_migrate_ack { op }) ))
+              Transport.finish_remote t.transport ~op ~dst:origin (P.Ik_migrate_ack { op }) ))
   | P.Ik_migrate_ack { op } ->
     job t (fun () ->
         ( 100L,
           fun () ->
-            return_credit t ~src_kernel;
+            Transport.return_credit t.transport ~src_kernel;
             (match Int_table.find_opt t.pending_ops op with
             | Some (P_migrate m) ->
               (* Acks are deduplicated by sender: a redelivered ack from
@@ -1992,11 +1467,11 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
                   migrate_transfer t ~vpe:m.m_vpe ~dst:m.m_dst ~done_k:m.done_k
                 end
               end
-              else Obs.Registry.incr t.ctr.dup_ikc
+              else Obs.Registry.incr t.tctr.dup_ikc
             | Some (P_migrate_caps { mc_done; _ }) ->
               (* The destination installed the transferred records. *)
               Int_table.remove t.pending_ops op;
-              clear_retry t op;
+              Transport.clear_retry t.transport op;
               mc_done ()
             | Some (P_fleet f) ->
               (* Lifecycle broadcast: same ack-counting discipline as a
@@ -2010,7 +1485,7 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
                   f.f_done ()
                 end
               end
-              else Obs.Registry.incr t.ctr.dup_ikc
+              else Obs.Registry.incr t.tctr.dup_ikc
             | Some (P_part p) ->
               (* Bulk partition-update broadcast: once every replica has
                  flipped (or marked mid-handoff), ship the records. *)
@@ -2023,27 +1498,27 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
                   part_transfer t ~pes:p.p_pes ~vpes:p.p_vpes ~dst:p.p_dst ~done_k:p.p_done
                 end
               end
-              else Obs.Registry.incr t.ctr.dup_ikc
+              else Obs.Registry.incr t.tctr.dup_ikc
             | Some (P_part_caps { pc_done; _ }) ->
               (* The destination installed the partition wave. *)
               Int_table.remove t.pending_ops op;
-              clear_retry t op;
+              Transport.clear_retry t.transport op;
               pc_done ()
             | Some
                 ( P_obtain _ | P_delegate_src _ | P_delegate_dst _ | P_open_sess _ | P_revoke _
                 | P_revoke_msg _ )
             | None ->
               (* Redelivered ack after the migration completed. *)
-              Obs.Registry.incr t.ctr.dup_ikc) ))
+              Obs.Registry.incr t.tctr.dup_ikc) ))
   | P.Ik_migrate_caps { op; src_kernel = origin; vpe = vid; records } ->
-    if remote_dup t ~src_kernel ~op then ()
+    if Transport.remote_dup t.transport ~src_kernel ~op then ()
     else
       job t (fun () ->
           (* Installing the transferred records costs time proportional to
              their number. *)
           ( Int64.mul (Int64.of_int (List.length records)) 150L,
             fun () ->
-              return_credit t ~src_kernel;
+              Transport.return_credit t.transport ~src_kernel;
               List.iter
                 (fun (r : P.migrated_cap) ->
                   let cap =
@@ -2073,7 +1548,7 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
                  then Membership.reassign t.membership ~pe:vpe.Vpe.pe ~kernel:t.id);
                 vpe.Vpe.frozen <- false (* unfreeze *)
               | None -> Log.err (fun m -> m "kernel %d: migrated VPE %d unknown" t.id vid));
-              finish_remote t ~op ~dst:origin (P.Ik_migrate_ack { op }) ))
+              Transport.finish_remote t.transport ~op ~dst:origin (P.Ik_migrate_ack { op }) ))
   | P.Ik_srv_announce { op; name; srv_key; kernel = _ } ->
     job t (fun () ->
         ( 100L,
@@ -2082,26 +1557,26 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
                return so the announcing kernel stops retransmitting.
                Before this the announce was fire-and-forget: one drop
                and every open_sess routed here failed forever. *)
-            return_credit t ~ack_op:op ~src_kernel;
+            Transport.return_credit t.transport ~ack_op:op ~src_kernel;
             Hashtbl.replace t.directory name srv_key ))
   | P.Ik_fleet_state { op; src_kernel = origin; kernel; state } ->
-    if remote_dup t ~src_kernel ~op then ()
+    if Transport.remote_dup t.transport ~src_kernel ~op then ()
     else
       job t (fun () ->
           ( 100L,
             fun () ->
-              return_credit t ~src_kernel;
+              Transport.return_credit t.transport ~src_kernel;
               (* Idempotent replica write: redeliveries re-record the same
                  state. *)
               Membership.set_kernel_state t.membership ~kernel state;
-              finish_remote t ~op ~dst:origin (P.Ik_migrate_ack { op }) ))
+              Transport.finish_remote t.transport ~op ~dst:origin (P.Ik_migrate_ack { op }) ))
   | P.Ik_part_update { op; src_kernel = origin; pes; new_kernel } ->
-    if remote_dup t ~src_kernel ~op then ()
+    if Transport.remote_dup t.transport ~src_kernel ~op then ()
     else
       job t (fun () ->
           ( Int64.mul (Int64.of_int (max 1 (List.length pes))) 200L,
             fun () ->
-              return_credit t ~src_kernel;
+              Transport.return_credit t.transport ~src_kernel;
               (if new_kernel = t.id then
                  (* Destination of the handoff: mark every PE mid-handoff
                     instead of reassigning — lookups must not route here
@@ -2128,16 +1603,16 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
                    marked;
                  Membership.reassign_partition t.membership ~pes:unmarked ~kernel:new_kernel
                end);
-              finish_remote t ~op ~dst:origin (P.Ik_migrate_ack { op }) ))
+              Transport.finish_remote t.transport ~op ~dst:origin (P.Ik_migrate_ack { op }) ))
   | P.Ik_part_records { op; src_kernel = origin; pes; vpes = vids; records } ->
-    if remote_dup t ~src_kernel ~op then ()
+    if Transport.remote_dup t.transport ~src_kernel ~op then ()
     else
       job t (fun () ->
           (* Installing the wave costs time proportional to the records
              carried, like a migrate_caps install. *)
           ( Int64.mul (Int64.of_int (max 1 (List.length records))) 150L,
             fun () ->
-              return_credit t ~src_kernel;
+              Transport.return_credit t.transport ~src_kernel;
               List.iter
                 (fun (r : P.migrated_cap) ->
                   let cap =
@@ -2171,43 +1646,27 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
                     try Membership.kernel_of_pe t.membership pe <> t.id with Not_found -> true
                   then Membership.reassign t.membership ~pe ~kernel:t.id)
                 pes;
-              finish_remote t ~op ~dst:origin (P.Ik_migrate_ack { op }) ))
+              Transport.finish_remote t.transport ~op ~dst:origin (P.Ik_migrate_ack { op }) ))
   | P.Ik_shutdown { src_kernel = origin } ->
     job t (fun () ->
         ( 100L,
           fun () ->
-            return_credit t ~src_kernel;
+            Transport.return_credit t.transport ~src_kernel;
             Log.debug (fun m -> m "kernel %d: shutdown notice from %d" t.id origin) ))
   | P.Ik_batch { src_kernel = _; msgs } ->
-    (* The frame consumed ONE sender credit, yet each inner delivery
-       returns one: record the surplus so [return_credit] absorbs all
-       but one return per frame (their piggybacked acks ride the credit
-       message that does go out). *)
-    (* (A frame from an id outside the fleet owes nothing: credit
-       returns toward it are dropped anyway.) *)
-    if is_kernel t src_kernel then begin
-      let o =
-        match t.batch_owed.(src_kernel) with
-        | Some o -> o
-        | None ->
-          let o = { o_left = 0; o_acks = [] } in
-          t.batch_owed.(src_kernel) <- Some o;
-          o
-      in
-      o.o_left <- o.o_left + (List.length msgs - 1)
-    end;
+    Transport.frame_received t.transport ~src_kernel ~size:(List.length msgs);
     List.iter (fun m -> deliver_ikc t ~src_kernel m) msgs
 
 (* Revoke requests return their credit right after the (cost-bearing)
    dispatch; the marking job itself carries the real cost. *)
 and return_credit_after_dispatch t ~src_kernel k =
-  return_credit t ~src_kernel;
+  Transport.return_credit t.transport ~src_kernel;
   k ()
 
 and handle_obtain_req t ~origin ~op ~obj_reserved ~client_pe ~client_vpe ~donor =
   let reply result =
     Thread_pool.release t.threads;
-    finish_remote t ~op ~dst:origin (P.Ik_obtain_reply { op; result })
+    Transport.finish_remote t.transport ~op ~dst:origin (P.Ik_obtain_reply { op; result })
   in
   let grant ~parent_key ~kind =
     job t (fun () ->
@@ -2248,7 +1707,7 @@ and handle_obtain_reply t ~op ~result =
   match Int_table.find t.pending_ops op with
   | P_obtain { client } -> (
     Int_table.remove t.pending_ops op;
-    clear_retry t op;
+    Transport.clear_retry t.transport op;
     match result with
     | Error e -> finish_syscall t client (P.R_err e)
     | Ok (child_key, kind, parent_key) ->
@@ -2258,8 +1717,8 @@ and handle_obtain_reply t ~op ~result =
         let unlink_op = fresh_op t in
         let msg = P.Ik_remove_child { op = unlink_op; parent_key; child_key } in
         let dst = owner_kernel t parent_key in
-        ikc_send t ~dst msg;
-        register_retry t unlink_op ~dst msg;
+        Transport.send t.transport ~dst msg;
+        Transport.register_retry t.transport unlink_op ~dst msg;
         Thread_pool.release t.threads
       end
       else begin
@@ -2273,7 +1732,7 @@ and handle_obtain_reply t ~op ~result =
     | P_migrate _ | P_migrate_caps _ | P_fleet _ | P_part _ | P_part_caps _
   | (exception Not_found) ->
     (* Redelivered reply: the obtain already completed. *)
-    Obs.Registry.incr t.ctr.dup_ikc;
+    Obs.Registry.incr t.tctr.dup_ikc;
     Log.debug (fun m -> m "kernel %d: duplicate obtain reply for op %d" t.id op)
 
 and handle_delegate_req t ~origin ~op ~parent_key ~kind ~recv =
@@ -2284,9 +1743,9 @@ and handle_delegate_req t ~origin ~op ~parent_key ~kind ~recv =
        source re-sends its cached ack on seeing the duplicate reply). *)
     let msg = P.Ik_delegate_reply { op; result } in
     (match result with
-    | Ok _ -> register_retry t op ~dst:origin msg
+    | Ok _ -> Transport.register_retry t.transport op ~dst:origin msg
     | Error _ -> ());
-    finish_remote t ~op ~dst:origin msg
+    Transport.finish_remote t.transport ~op ~dst:origin msg
   in
   let proceed (recv_v : Vpe.t) =
     job t (fun () ->
@@ -2336,14 +1795,13 @@ and handle_delegate_reply t ~op ~result =
   match Int_table.find t.pending_ops op with
   | P_delegate_src { client; src_key; dst_kernel } -> (
     Int_table.remove t.pending_ops op;
-    clear_retry t op;
+    Transport.clear_retry t.transport op;
     let send_ack commit child_key =
       let ack = P.Ik_delegate_ack { op; child_key; commit } in
       (* Cache the ack: a redelivered reply means the destination is
          still waiting, so the ack may have been lost and is re-sent. *)
-      Int_table.replace t.completed_acks op (dst_kernel, ack);
-      Queue.push (Int64.add (Engine.now t.engine) (retention t), Ev_ack op) t.evictions;
-      ikc_send t ~dst:dst_kernel ack
+      Transport.cache_ack t.transport ~op ~dst:dst_kernel ack;
+      Transport.send t.transport ~dst:dst_kernel ack
     in
     match result with
     | Error e -> finish_syscall t client (P.R_err e)
@@ -2364,13 +1822,13 @@ and handle_delegate_reply t ~op ~result =
   | (exception Not_found) -> (
     (* Redelivered reply after the handshake completed here: re-send
        the cached ack in case the original ack was lost. *)
-    match Int_table.find_opt t.completed_acks op with
+    match Transport.cached_ack t.transport op with
     | Some (dst, ack) ->
-      Obs.Registry.incr t.ctr.dup_ikc;
-      receive_credit t ~peer:dst;
-      ikc_send t ~dst ack
+      Obs.Registry.incr t.tctr.dup_ikc;
+      Transport.receive_credit t.transport ~peer:dst;
+      Transport.send t.transport ~dst ack
     | None ->
-      Obs.Registry.incr t.ctr.dup_ikc;
+      Obs.Registry.incr t.tctr.dup_ikc;
       Log.debug (fun m -> m "kernel %d: duplicate delegate reply for op %d" t.id op))
 
 and handle_delegate_ack t ~op ~child_key ~commit =
@@ -2378,7 +1836,7 @@ and handle_delegate_ack t ~op ~child_key ~commit =
   | P_delegate_dst { child_key = ck; recv_vpe; src_kernel } -> (
     Int_table.remove t.pending_ops op;
     (* Stop retransmitting the reply; the handshake is over. *)
-    clear_retry t op;
+    Transport.clear_retry t.transport op;
     assert (Key.equal ck child_key);
     (match Mapdb.find t.mapdb child_key with
     | None -> () (* revoked in the meantime; nothing to do *)
@@ -2401,8 +1859,8 @@ and handle_delegate_ack t ~op ~child_key ~commit =
           | Some parent_key ->
             let unlink_op = fresh_op t in
             let msg = P.Ik_remove_child { op = unlink_op; parent_key; child_key } in
-            ikc_send t ~dst:src_kernel msg;
-            register_retry t unlink_op ~dst:src_kernel msg
+            Transport.send t.transport ~dst:src_kernel msg;
+            Transport.register_retry t.transport unlink_op ~dst:src_kernel msg
           | None -> ())
       end);
     (* Handshake over: release the thread held since the request. *)
@@ -2412,12 +1870,12 @@ and handle_delegate_ack t ~op ~child_key ~commit =
   | (exception Not_found) ->
     (* Redelivered ack: the handshake already completed and its thread
        was already released — releasing again would corrupt the pool. *)
-    Obs.Registry.incr t.ctr.dup_ikc
+    Obs.Registry.incr t.tctr.dup_ikc
 
 and handle_open_sess_req t ~origin ~op ~srv_key ~sess_key ~client_vpe =
   let reply result =
     Thread_pool.release t.threads;
-    finish_remote t ~op ~dst:origin (P.Ik_open_sess_reply { op; result })
+    Transport.finish_remote t.transport ~op ~dst:origin (P.Ik_open_sess_reply { op; result })
   in
   match Mapdb.find t.mapdb srv_key with
   | None -> reply (Error P.E_no_such_service)
@@ -2439,15 +1897,15 @@ and handle_open_sess_reply t ~op ~result =
   match Int_table.find t.pending_ops op with
   | P_open_sess { client; sess_key; srv_key; srv_kernel } -> (
     Int_table.remove t.pending_ops op;
-    clear_retry t op;
+    Transport.clear_retry t.transport op;
     match result with
     | Error e -> finish_syscall t client (P.R_err e)
     | Ok ident ->
       if not (Vpe.is_alive client) then begin
         let unlink_op = fresh_op t in
         let msg = P.Ik_remove_child { op = unlink_op; parent_key = srv_key; child_key = sess_key } in
-        ikc_send t ~dst:srv_kernel msg;
-        register_retry t unlink_op ~dst:srv_kernel msg;
+        Transport.send t.transport ~dst:srv_kernel msg;
+        Transport.register_retry t.transport unlink_op ~dst:srv_kernel msg;
         Thread_pool.release t.threads
       end
       else begin
@@ -2462,7 +1920,7 @@ and handle_open_sess_reply t ~op ~result =
     | P_migrate _ | P_migrate_caps _ | P_fleet _ | P_part _ | P_part_caps _
   | (exception Not_found) ->
     (* Redelivered reply: the session open already completed. *)
-    Obs.Registry.incr t.ctr.dup_ikc;
+    Obs.Registry.incr t.tctr.dup_ikc;
     Log.debug (fun m -> m "kernel %d: duplicate open-session reply for op %d" t.id op)
 
 (* Phase 2 of PE migration: hand the capability records and the VPE
@@ -2498,11 +1956,11 @@ and migrate_transfer t ~(vpe : Vpe.t) ~dst ~done_k =
           let op = fresh_op t in
           Int_table.add t.pending_ops op (P_migrate_caps { mc_vpe = vpe; mc_done = done_k });
           let msg = P.Ik_migrate_caps { op; src_kernel = t.id; vpe = vpe.Vpe.id; records } in
-          ikc_send t ~dst msg;
+          Transport.send t.transport ~dst msg;
           (* The transfer is retransmitted until the destination acks the
              install — a lost Ik_migrate_caps would otherwise leak every
              record of the VPE. [done_k] fires on that ack. *)
-          register_retry t op ~dst msg ))
+          Transport.register_retry t.transport op ~dst msg ))
 
 (* Phase 2 of a bulk partition handoff: extract every record of the
    moving partitions, detach their VPEs, and ship the whole set to the
@@ -2553,8 +2011,96 @@ and part_transfer t ~pes ~(vpes : Vpe.t list) ~dst ~done_k =
                 records;
               }
           in
-          ikc_send t ~dst msg;
-          register_retry t op ~dst msg ))
+          Transport.send t.transport ~dst msg;
+          Transport.register_retry t.transport op ~dst msg ))
+
+(* ------------------------------------------------------------------ *)
+(* Construction                                                        *)
+
+let create ?obs ?trace ~engine ~fabric ~grid ~id ~pe ~membership ~cost ~env ~registry () =
+  let kernel_count = Array.length registry in
+  let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
+  let trace = match trace with Some b -> b | None -> Obs.Trace.create ~capacity:0 in
+  let prefix = "kernel" ^ string_of_int id ^ "." in
+  let name suffix = prefix ^ suffix in
+  let cnt suffix = Obs.Registry.counter obs (name suffix) in
+  let family suffix names buckets =
+    Obs.Registry.family obs ~prefix:(name suffix ^ ".") ~names ~buckets
+  in
+  let ctr : counters =
+    {
+      syscalls = cnt "syscalls";
+      cap_ops = cnt "cap_ops";
+      exchanges_local = cnt "exchanges_local";
+      exchanges_spanning = cnt "exchanges_spanning";
+      revokes_local = cnt "revokes_local";
+      revokes_spanning = cnt "revokes_spanning";
+      caps_created = cnt "caps_created";
+      caps_deleted = cnt "caps_deleted";
+      ikc_received = cnt "ikc_received";
+      revoke_sweep_probes = cnt "revoke_sweep_probes";
+      queue_depth = Obs.Registry.histogram obs (name "queue_depth") ~buckets:queue_depth_buckets;
+      syscall_latency = family "syscall_latency" P.syscall_names Transport.latency_buckets;
+    }
+  in
+  (* The transport reaches this kernel through the registry, where it
+     is entered below: inbound messages and exhausted retries. *)
+  let self () = match registry.(id) with Some k -> k | None -> assert false in
+  let transport =
+    Transport.create ~obs ~trace ~engine ~fabric ~cost ~id ~pe ~kernel_count
+      ~peer:(fun k ->
+        match find_kernel_in registry k with Some p -> p.transport | None -> raise Not_found)
+      ~deliver:(fun ~src_kernel ikc -> deliver_ikc (self ()) ~src_kernel ikc)
+      ~on_exhausted:(fun op -> fail_exhausted_op (self ()) op)
+  in
+  let t =
+    {
+      id;
+      pe;
+      engine;
+      fabric;
+      grid;
+      membership;
+      cost;
+      env;
+      registry;
+      kernel_count;
+      mapdb = Mapdb.create ();
+      server = Server.create engine ~name:(Printf.sprintf "kernel%d" id);
+      threads = Thread_pool.create ~vpes:0 ~kernels:kernel_count;
+      vpes = Int_table.create 32;
+      directory = Hashtbl.create 16;
+      local_services = Hashtbl.create 8;
+      services_by_key = Key.Table.create 8;
+      pending_handlers = Hashtbl.create 8;
+      pending_ops = Int_table.create 32;
+      activations = Key.Table.create 16;
+      transport;
+      obs;
+      trace;
+      ctr;
+      tctr = Transport.counters transport;
+      next_op = 0;
+      keyset_pool =
+        Pool.create ~prealloc:2
+          ~make:(fun () -> Key.Table.create 64)
+          ~reset:Key.Table.reset ();
+      dstmap_pool =
+        Pool.create ~prealloc:1 ~make:(fun () -> Int_table.create 8) ~reset:Int_table.reset ();
+    }
+  in
+  registry.(id) <- Some t;
+  (* Gauges sample live kernel state at snapshot time. *)
+  let gauge suffix f = Obs.Registry.gauge obs (name suffix) f in
+  gauge "occupancy" (fun () ->
+      let now = Int64.to_float (Engine.now engine) in
+      if now <= 0.0 then 0.0 else Int64.to_float (Server.busy_cycles t.server) /. now);
+  gauge "busy_cycles" (fun () -> Int64.to_float (Server.busy_cycles t.server));
+  gauge "threads.size" (fun () -> float_of_int (Thread_pool.size t.threads));
+  gauge "threads.in_use" (fun () -> float_of_int (Thread_pool.in_use t.threads));
+  gauge "threads.max_in_use" (fun () -> float_of_int (Thread_pool.max_in_use t.threads));
+  gauge "threads.waiting" (fun () -> float_of_int (Thread_pool.waiting t.threads));
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -2563,7 +2109,7 @@ let syscall t ~vpe call k =
   if not (Vpe.is_alive vpe) then Engine.after t.engine 0L (fun () -> k (P.R_err P.E_vpe_dead))
   else if vpe.Vpe.syscall_pending then Engine.after t.engine 0L (fun () -> k (P.R_err P.E_busy))
   else begin
-    evict_expired t;
+    Transport.evict_expired t.transport;
     Obs.Registry.observe_int t.ctr.queue_depth (Server.queue_length t.server);
     vpe.Vpe.syscall_pending <- true;
     vpe.Vpe.reply_k <- Some k;
@@ -2639,7 +2185,7 @@ let migrate_vpe t ~(vpe : Vpe.t) ~dst done_k =
     job t (fun () ->
         ( Int64.mul (Int64.of_int (List.length peers)) 200L,
           fun () ->
-            List.iter (fun kid -> ikc_send t ~dst:kid update) peers;
+            List.iter (fun kid -> Transport.send t.transport ~dst:kid update) peers;
             (* Retransmit the update to peers that have not acked yet;
                updates are idempotent and acks dedup by sender. Resends
                go out in kernel-id order — table iteration order must
@@ -2652,20 +2198,20 @@ let migrate_vpe t ~(vpe : Vpe.t) ~dst done_k =
                 | Some (P_migrate m) when attempts < (c t).Cost.retry_max ->
                   List.iter
                     (fun kid ->
-                      Obs.Registry.incr t.ctr.retries;
-                      receive_credit t ~peer:kid;
-                      ikc_send t ~dst:kid update)
+                      Obs.Registry.incr t.tctr.retries;
+                      Transport.receive_credit t.transport ~peer:kid;
+                      Transport.send t.transport ~dst:kid update)
                     (List.sort compare
                        (Int_table.fold (fun kid () acc -> kid :: acc) m.pending_peers []));
                   m.mtimer <-
                     Some
                       (Engine.after_cancellable t.engine
-                         (retry_interval (c t) (attempts + 1))
+                         (Transport.retry_interval (c t) (attempts + 1))
                          (tick (attempts + 1)))
                 | Some _ | None -> ()
               in
               mig.mtimer <-
-                Some (Engine.after_cancellable t.engine (retry_interval (c t) 0) (tick 0))
+                Some (Engine.after_cancellable t.engine (Transport.retry_interval (c t) 0) (tick 0))
             end ))
 
 (* Reliable fleet-state broadcast: record the transition on our own
@@ -2694,26 +2240,26 @@ let announce_state t ~kernel state done_k =
     job t (fun () ->
         ( Int64.mul (Int64.of_int (List.length peers)) 100L,
           fun () ->
-            List.iter (fun kid -> ikc_send t ~dst:kid update) peers;
+            List.iter (fun kid -> Transport.send t.transport ~dst:kid update) peers;
             if (c t).Cost.retry_max > 0 then begin
               let rec tick attempts () =
                 match Int_table.find_opt t.pending_ops op with
                 | Some (P_fleet f) when attempts < (c t).Cost.retry_max ->
                   List.iter
                     (fun kid ->
-                      Obs.Registry.incr t.ctr.retries;
-                      receive_credit t ~peer:kid;
-                      ikc_send t ~dst:kid update)
+                      Obs.Registry.incr t.tctr.retries;
+                      Transport.receive_credit t.transport ~peer:kid;
+                      Transport.send t.transport ~dst:kid update)
                     (List.sort compare (Int_table.fold (fun kid () acc -> kid :: acc) f.f_peers []));
                   f.f_timer <-
                     Some
                       (Engine.after_cancellable t.engine
-                         (retry_interval (c t) (attempts + 1))
+                         (Transport.retry_interval (c t) (attempts + 1))
                          (tick (attempts + 1)))
                 | Some _ | None -> ()
               in
               fop.f_timer <-
-                Some (Engine.after_cancellable t.engine (retry_interval (c t) 0) (tick 0))
+                Some (Engine.after_cancellable t.engine (Transport.retry_interval (c t) 0) (tick 0))
             end ))
 
 (* Bulk partition handoff (fleet join/drain): move every capability
@@ -2754,26 +2300,26 @@ let handoff_partitions t ~pes ~vpes ~dst done_k =
     job t (fun () ->
         ( Int64.mul (Int64.of_int (List.length peers)) 200L,
           fun () ->
-            List.iter (fun kid -> ikc_send t ~dst:kid update) peers;
+            List.iter (fun kid -> Transport.send t.transport ~dst:kid update) peers;
             if (c t).Cost.retry_max > 0 then begin
               let rec tick attempts () =
                 match Int_table.find_opt t.pending_ops op with
                 | Some (P_part p) when attempts < (c t).Cost.retry_max ->
                   List.iter
                     (fun kid ->
-                      Obs.Registry.incr t.ctr.retries;
-                      receive_credit t ~peer:kid;
-                      ikc_send t ~dst:kid update)
+                      Obs.Registry.incr t.tctr.retries;
+                      Transport.receive_credit t.transport ~peer:kid;
+                      Transport.send t.transport ~dst:kid update)
                     (List.sort compare (Int_table.fold (fun kid () acc -> kid :: acc) p.p_peers []));
                   p.p_timer <-
                     Some
                       (Engine.after_cancellable t.engine
-                         (retry_interval (c t) (attempts + 1))
+                         (Transport.retry_interval (c t) (attempts + 1))
                          (tick (attempts + 1)))
                 | Some _ | None -> ()
               in
               pop.p_timer <-
-                Some (Engine.after_cancellable t.engine (retry_interval (c t) 0) (tick 0))
+                Some (Engine.after_cancellable t.engine (Transport.retry_interval (c t) 0) (tick 0))
             end ))
 
 (* Control-plane quiescence: nothing pending, nothing awaiting
@@ -2781,14 +2327,7 @@ let handoff_partitions t ~pes ~vpes ~dst done_k =
    absorbed credit returns owed, and every send-credit window back at
    the §5.1 bound. A kernel may retire only when this holds with its
    VPE table and mapping database empty. *)
-let quiescent t =
-  Int_table.length t.pending_ops = 0
-  && Int_table.length t.retry_msgs = 0
-  && fold_peers (fun _ bs acc -> acc && Queue.is_empty bs.bq) t.batch_queues true
-  && fold_peers (fun _ o acc -> acc && o.o_left = 0 && o.o_acks = []) t.batch_owed true
-  && fold_peers
-       (fun _ w acc -> acc && w.avail = Cost.max_inflight && Queue.is_empty w.stalled)
-       t.credits true
+let quiescent t = Int_table.length t.pending_ops = 0 && Transport.quiescent t.transport
 
 let quiescence_report t =
   let parts = ref [] in
@@ -2807,22 +2346,7 @@ let quiescence_report t =
     | P_part_caps _ -> "part_caps"
   in
   Int_table.iter (fun op p -> add "pending op %d (%s)" op (pend_kind p)) t.pending_ops;
-  Int_table.iter (fun op _ -> add "retrying msg op %d" op) t.retry_msgs;
-  iter_peers
-    (fun dst bs ->
-      if not (Queue.is_empty bs.bq) then add "batch queue to %d holds %d" dst (Queue.length bs.bq))
-    t.batch_queues;
-  iter_peers
-    (fun src o ->
-      if o.o_left <> 0 || o.o_acks <> [] then
-        add "owes %d credit acks to %d (%d parked)" o.o_left src (List.length o.o_acks))
-    t.batch_owed;
-  iter_peers
-    (fun dst w ->
-      if w.avail <> Cost.max_inflight || not (Queue.is_empty w.stalled) then
-        add "credit window to %d at %d/%d (%d queued)" dst w.avail Cost.max_inflight
-          (Queue.length w.stalled))
-    t.credits;
+  parts := Transport.quiescence_report t.transport @ !parts;
   if !parts = [] then "quiescent" else String.concat "; " (List.sort compare !parts)
 
 let check_invariants t =
@@ -2842,21 +2366,7 @@ let check_invariants t =
         err "cap %s still marked while system is idle" (Key.to_string cap.Cap.key))
     t.mapdb;
   Int_table.iter (fun op _ -> err "pending operation %d while system is idle" op) t.pending_ops;
-  iter_peers
-    (fun peer bs ->
-      if not (Queue.is_empty bs.bq) then
-        err "%d messages for kernel %d still queued in a batch window while system is idle"
-          (Queue.length bs.bq) peer)
-    t.batch_queues;
-  iter_peers
-    (fun peer o ->
-      if o.o_left <> 0 then
-        err "%d absorbed credit returns still owed to kernel %d while system is idle" o.o_left
-          peer;
-      if o.o_acks <> [] then
-        err "%d piggybacked acks for kernel %d still stashed while system is idle"
-          (List.length o.o_acks) peer)
-    t.batch_owed;
+  List.iter (fun e -> errors := e :: !errors) (Transport.check_invariants t.transport);
   Int_table.iter
     (fun vid (vpe : Vpe.t) ->
       if vpe.Vpe.frozen then err "VPE %d still frozen while system is idle" vid)

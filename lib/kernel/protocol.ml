@@ -196,6 +196,27 @@ let ikc_tag = function
 
 let ikc_name m = ikc_names.(ikc_tag m)
 
+let ikc_op = function
+  | Ik_obtain_req { op; _ }
+  | Ik_obtain_reply { op; _ }
+  | Ik_delegate_req { op; _ }
+  | Ik_delegate_reply { op; _ }
+  | Ik_delegate_ack { op; _ }
+  | Ik_open_sess_req { op; _ }
+  | Ik_open_sess_reply { op; _ }
+  | Ik_revoke_req { op; _ }
+  | Ik_revoke_reply { op; _ }
+  | Ik_migrate_update { op; _ }
+  | Ik_migrate_ack { op }
+  | Ik_migrate_caps { op; _ }
+  | Ik_remove_child { op; _ }
+  | Ik_srv_announce { op; _ }
+  | Ik_fleet_state { op; _ }
+  | Ik_part_update { op; _ }
+  | Ik_part_records { op; _ } ->
+    op
+  | Ik_shutdown _ | Ik_batch _ -> -1
+
 type service_request =
   | Srq_open_session of { client_vpe : int }
   | Srq_obtain of { ident : int; args : int list }

@@ -191,6 +191,10 @@ val ikc_names : string array
 val ikc_tag : ikc -> int
 val ikc_name : ikc -> string
 
+(** Operation id an IKC carries, or -1 for untagged messages
+    ([Ik_shutdown], [Ik_batch]). *)
+val ikc_op : ikc -> int
+
 (** Requests a kernel makes to a service VPE (delivered through the
     service's own processing queue, so service contention is felt). *)
 type service_request =
