@@ -42,6 +42,7 @@ type outcome = {
   kernel_utilisation : float;
   service_utilisation : float;
   total_pes : int;
+  dedup_peak : int;
   snapshot : Obs.Json.t;
 }
 
@@ -55,6 +56,10 @@ let service_of_instance ~kernels ~services ~instance =
   let locals = services / kernels + if group < services mod kernels then 1 else 0 in
   if locals > 0 then group + (instance / kernels mod locals * kernels)
   else instance mod services
+
+(* The largest idempotency-cache high-water mark among the kernels. *)
+let dedup_peak sys =
+  List.fold_left (fun acc k -> max acc (Kernel.idempotency_cache_peak k)) 0 (System.kernels sys)
 
 let run cfg =
   let spec = cfg.workload in
@@ -179,6 +184,7 @@ let run cfg =
     kernel_utilisation = mean_util (List.map Kernel.server (System.kernels sys));
     service_utilisation = mean_util (Array.to_list (Array.map M3fs.server services));
     total_pes = cfg.instances + cfg.kernels + cfg.services;
+    dedup_peak = dedup_peak sys;
     snapshot = Obs.Registry.snapshot (System.obs sys);
   }
 

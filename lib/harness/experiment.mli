@@ -57,10 +57,17 @@ type outcome = {
   kernel_utilisation : float;   (** mean kernel-PE busy fraction over makespan *)
   service_utilisation : float;
   total_pes : int;              (** instances + kernels + services *)
+  dedup_peak : int;
+      (** most idempotency-cache entries any one kernel held at once
+          ({!Semper_kernel.Kernel.idempotency_cache_peak}) *)
   snapshot : Semper_obs.Obs.Json.t;
       (** end-of-run {!Semper_obs.Obs.Registry} snapshot (every kernel,
           fabric, and DTU instrument of this run's private system) *)
 }
+
+(** Largest {!Semper_kernel.Kernel.idempotency_cache_peak} among the
+    system's kernels. *)
+val dedup_peak : Semper_kernel.System.t -> int
 
 (** Run the experiment to completion. Raises [Failure] if any replay
     reports errors — the trace player "checks for correct execution". *)

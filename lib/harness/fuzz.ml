@@ -420,6 +420,19 @@ let finish ?inc st =
   if leaked <> 0 then
     st.failures <-
       Printf.sprintf "teardown: %d capabilities survived shutdown" leaked :: st.failures;
+  (* Shutdown makes every kernel return a credit to every peer, so every
+     pending close has gone out: an idempotency-cache entry left behind
+     belongs to an op that no kernel will ever close. *)
+  List.iter
+    (fun k ->
+      match Kernel.idempotency_cache_sizes k with
+      | 0, 0 -> ()
+      | r, a ->
+        st.failures <-
+          Printf.sprintf "teardown: kernel %d holds %d remote-op and %d ack cache entries"
+            (Kernel.id k) r a
+          :: st.failures)
+    (System.kernels sys);
   let kstat f = List.fold_left (fun acc k -> acc + f (Kernel.stats k)) 0 (System.kernels sys) in
   let inj =
     match System.fault_plan sys with

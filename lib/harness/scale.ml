@@ -24,6 +24,9 @@ type row = {
   r_cap_ops : int;
   r_cap_ops_per_s : float;
   r_heap_peak : int;
+  (* Most idempotency-cache entries one kernel held at once: bounded by
+     the ops in flight, not by the run's length. *)
+  r_dedup_peak : int;
   r_minor_collections : int;
   r_major_collections : int;
   r_promoted_words : float;
@@ -288,6 +291,7 @@ let measure_sessions sp =
     r_cap_ops = cap_ops;
     r_cap_ops_per_s = (if wall > 0.0 then float_of_int cap_ops /. wall else 0.0);
     r_heap_peak = Engine.Totals.heap_peak ();
+    r_dedup_peak = Experiment.dedup_peak sys;
     r_minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
     r_major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
     r_promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
@@ -324,15 +328,16 @@ let measure_row pt =
     let events = Engine.Totals.processed () - p0 in
     let wall = List.fold_left (fun acc o -> acc +. o.Experiment.replay_wall_s) 0.0 outcomes in
     let cap_ops = List.fold_left (fun acc o -> acc + o.Experiment.cap_ops) 0 outcomes in
-    (wall, events, cap_ops, Engine.Totals.heap_peak (), g0, g1)
+    let dedup = List.fold_left (fun acc o -> max acc o.Experiment.dedup_peak) 0 outcomes in
+    (wall, events, cap_ops, Engine.Totals.heap_peak (), dedup, g0, g1)
   in
   let best = ref (measure ()) in
   for _ = 2 to app_row_reps do
-    let ((w, _, _, _, _, _) as m) = measure () in
-    let bw, _, _, _, _, _ = !best in
+    let ((w, _, _, _, _, _, _) as m) = measure () in
+    let bw, _, _, _, _, _, _ = !best in
     if w < bw then best := m
   done;
-  let wall, events, cap_ops, heap_peak, g0, g1 = !best in
+  let wall, events, cap_ops, heap_peak, dedup_peak, g0, g1 = !best in
   let audit_caps, t_full, t_inc = audit_times pt in
   {
     r_name = pt.p_name;
@@ -347,6 +352,7 @@ let measure_row pt =
     r_cap_ops = cap_ops;
     r_cap_ops_per_s = (if wall > 0.0 then float_of_int cap_ops /. wall else 0.0);
     r_heap_peak = heap_peak;
+    r_dedup_peak = dedup_peak;
     r_minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
     r_major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
     r_promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
@@ -386,6 +392,7 @@ let row_json r =
       ("cap_ops", Obs.Json.Int r.r_cap_ops);
       ("cap_ops_per_s", Obs.Json.Float r.r_cap_ops_per_s);
       ("heap_peak", Obs.Json.Int r.r_heap_peak);
+      ("dedup_peak", Obs.Json.Int r.r_dedup_peak);
       ("gc_minor_collections", Obs.Json.Int r.r_minor_collections);
       ("gc_major_collections", Obs.Json.Int r.r_major_collections);
       ("gc_promoted_words", Obs.Json.Float r.r_promoted_words);
@@ -405,7 +412,7 @@ let render _ results =
             header =
               [
                 "row"; "pes"; "sessions"; "wall_s"; "events/s"; "cap_ops"; "cap_ops/s"; "heap_peak";
-                "gc_minor"; "gc_major"; "audit_full_ms"; "audit_inc_ms";
+                "dedup_peak"; "gc_minor"; "gc_major"; "audit_full_ms"; "audit_inc_ms";
               ];
             rows =
               List.map
@@ -419,6 +426,7 @@ let render _ results =
                     string_of_int r.r_cap_ops;
                     Printf.sprintf "%.0f" r.r_cap_ops_per_s;
                     string_of_int r.r_heap_peak;
+                    string_of_int r.r_dedup_peak;
                     string_of_int r.r_minor_collections;
                     string_of_int r.r_major_collections;
                     Printf.sprintf "%.3f" (r.r_audit_full_s *. 1000.0);
@@ -430,7 +438,7 @@ let render _ results =
     json =
       Obs.Json.Obj
         [
-          ("schema", Obs.Json.Str "semperos-scale-2");
+          ("schema", Obs.Json.Str "semperos-scale-3");
           ("jobs", Obs.Json.Int 1);
           ("rows", Obs.Json.Arr (List.map row_json rows));
         ];
@@ -448,7 +456,7 @@ let entry =
     shape =
       Some
         {
-          Entry.schema = "semperos-scale-2";
+          Entry.schema = "semperos-scale-3";
           keys =
             [
               ("jobs", Entry.Any);
@@ -458,7 +466,7 @@ let entry =
                      [
                        "name"; "total_pes"; "kernels"; "services"; "instances"; "sessions"; "wall_s";
                        "events_processed"; "events_per_s"; "cap_ops"; "cap_ops_per_s"; "heap_peak";
-                       "gc_minor_collections"; "gc_major_collections"; "gc_promoted_words";
+                       "dedup_peak"; "gc_minor_collections"; "gc_major_collections"; "gc_promoted_words";
                        "audit_caps"; "audit_full_s"; "audit_incremental_s";
                      ]) );
             ];

@@ -44,6 +44,10 @@ type row = {
   r_heap_peak : int;
       (** engine-queue high-water mark of this row (the mark is reset
           at each row boundary, see {!Engine.Totals.reset_heap_peak}) *)
+  r_dedup_peak : int;
+      (** most idempotency-cache entries one kernel held at once
+          ({!Experiment.dedup_peak}), the largest over the row's
+          systems *)
   r_minor_collections : int;  (** minor GCs during the mix *)
   r_major_collections : int;  (** major GC cycles during the mix *)
   r_promoted_words : float;  (** words promoted minor -> major *)

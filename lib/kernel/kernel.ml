@@ -67,8 +67,8 @@ type counters = {
   revoke_sweep_probes : Obs.Registry.counter;
   (* Syscall-queue depth at the kernel PE, observed on syscall entry
      and IKC delivery — the balancer's second load sensor besides
-     busy cycles. Piggybacks on existing activity points (like the
-     idempotency-cache eviction) so it adds no engine events. *)
+     busy cycles. Piggybacks on existing activity points so it adds
+     no engine events. *)
   queue_depth : Obs.Registry.histogram;
   (* End-to-end syscall latency per kind, indexed by [P.syscall_tag]. *)
   syscall_latency : Obs.Registry.family;
@@ -171,7 +171,6 @@ type t = {
      are fixed at boot, so this is a dense array indexed by kernel id:
      finding a peer is a bounds check and a read, with no hashing. *)
   registry : t option array;
-  kernel_count : int;
   mapdb : Mapdb.t;
   server : Server.t;
   threads : Thread_pool.t;
@@ -245,6 +244,7 @@ let stats t : stats =
 let obs t = t.obs
 
 let idempotency_cache_sizes t = Transport.idempotency_cache_sizes t.transport
+let idempotency_cache_peak t = Transport.idempotency_cache_peak t.transport
 let credit_windows t = Transport.credit_windows t.transport
 
 let cost t = t.cost
@@ -261,32 +261,25 @@ let register_service_handler t ~name handler = Hashtbl.replace t.pending_handler
 
 (* The kernel's data plane (mapping database, membership replica,
    service directory, op-id cursor) restores in place; the control
-   plane (pending operations, retry timers, idempotency caches — all
-   carrying continuations or engine handles) travels only inside
+   plane (pending operations, and the transport's retry timers,
+   idempotency caches and pending closes — carrying continuations or
+   engine handles, or naming ops those do) travels only inside
    whole-image checkpoints. The snapshot records the control plane's
-   op ids and sizes so a fingerprint distinguishes states and restore
-   can verify it is being applied to a matching control plane. *)
+   op ids so a fingerprint distinguishes states and restore can verify
+   it is being applied to a matching control plane. *)
 type snapshot = {
   s_mapdb : Mapdb.snapshot;
   s_membership : Membership.snapshot;
   s_directory : (string * Key.t) list;  (* sorted by name *)
   s_next_op : int;
   s_pending_ops : int list;  (* sorted *)
-  s_retry_ops : int list;  (* sorted *)
-  s_remote_ops : int list;  (* sorted *)
-  s_completed_acks : int list;  (* sorted *)
-  s_evictions : int;
-  s_credits : (int * int * int) list;  (* peer, credits, queued sends; sorted *)
-  s_batch : (int * int) list;  (* peer, queued batch sends; sorted *)
-  (* peer, absorbed credit returns still owed, stashed acks; sorted *)
-  s_batch_owed : (int * int * int list) list;
+  s_transport : Transport.snapshot;
   s_vpes : int list;  (* managed VPE ids, sorted *)
 }
 
 let sorted_keys tbl = Int_table.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort Int.compare
 
 let snapshot t =
-  let ts = Transport.snapshot t.transport in
   {
     s_mapdb = Mapdb.snapshot t.mapdb;
     s_membership = Membership.snapshot t.membership;
@@ -295,29 +288,15 @@ let snapshot t =
       |> List.sort (fun (a, _) (b, _) -> String.compare a b);
     s_next_op = t.next_op;
     s_pending_ops = sorted_keys t.pending_ops;
-    s_retry_ops = ts.Transport.s_retry_ops;
-    s_remote_ops = ts.Transport.s_remote_ops;
-    s_completed_acks = ts.Transport.s_completed_acks;
-    s_evictions = ts.Transport.s_evictions;
-    s_credits = ts.Transport.s_credits;
-    s_batch = ts.Transport.s_batch;
-    s_batch_owed = ts.Transport.s_batch_owed;
+    s_transport = Transport.snapshot t.transport;
     s_vpes = sorted_keys t.vpes;
   }
 
 let restore t s =
-  let ts =
-    {
-      Transport.s_retry_ops = s.s_retry_ops;
-      s_remote_ops = s.s_remote_ops;
-      s_completed_acks = s.s_completed_acks;
-      s_evictions = s.s_evictions;
-      s_credits = s.s_credits;
-      s_batch = s.s_batch;
-      s_batch_owed = s.s_batch_owed;
-    }
-  in
-  if sorted_keys t.pending_ops <> s.s_pending_ops || not (Transport.matches t.transport ts) then
+  if
+    sorted_keys t.pending_ops <> s.s_pending_ops
+    || not (Transport.matches t.transport s.s_transport)
+  then
     invalid_arg
       "Kernel.restore: live control plane does not match the snapshot (pending operations are \
        restored only by whole-image checkpoints)";
@@ -326,7 +305,7 @@ let restore t s =
   Hashtbl.reset t.directory;
   List.iter (fun (name, key) -> Hashtbl.replace t.directory name key) s.s_directory;
   t.next_op <- s.s_next_op;
-  Transport.restore t.transport ts
+  Transport.restore t.transport s.s_transport
 
 let lookup_service t name = Hashtbl.find_opt t.directory name
 
@@ -343,9 +322,8 @@ let fresh_op t =
 let owner_kernel t key = Membership.kernel_of_key t.membership key
 
 (* The kernel with id [k]; [None] for an id outside the fleet. *)
-let find_kernel_in registry k = if k >= 0 && k < Array.length registry then registry.(k) else None
-let find_kernel t k = find_kernel_in t.registry k
-let is_kernel t k = match find_kernel t k with Some _ -> true | None -> false
+let find_kernel registry k = if k >= 0 && k < Array.length registry then registry.(k) else None
+let is_kernel t k = match find_kernel t.registry k with Some _ -> true | None -> false
 
 (* Every other kernel of the fleet, in kernel-id order: broadcasts
    visit their peers in this order. *)
@@ -1322,7 +1300,6 @@ and local_delegate t ~(client : Vpe.t) ~src_key ~(recv : Vpe.t) =
 (* Inter-kernel call handling                                          *)
 
 and deliver_ikc t ~src_kernel (ikc : P.ikc) =
-  Transport.evict_expired t.transport;
   Obs.Registry.observe_int t.ctr.queue_depth (Server.queue_length t.server);
   Obs.Registry.incr t.ctr.ikc_received;
   trace_event t ~kind:"ikc_recv" ~op:(P.ikc_op ikc) ~src:src_kernel ~dst:t.id
@@ -1460,6 +1437,7 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
                  an already-counted peer must not skip a pending one. *)
               if Int_table.mem m.pending_peers src_kernel then begin
                 Int_table.remove m.pending_peers src_kernel;
+                Transport.close t.transport ~peer:src_kernel op;
                 if Int_table.length m.pending_peers = 0 then begin
                   Int_table.remove t.pending_ops op;
                   Option.iter (Engine.cancel t.engine) m.mtimer;
@@ -1478,6 +1456,7 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
                  migrate-update broadcast. *)
               if Int_table.mem f.f_peers src_kernel then begin
                 Int_table.remove f.f_peers src_kernel;
+                Transport.close t.transport ~peer:src_kernel op;
                 if Int_table.length f.f_peers = 0 then begin
                   Int_table.remove t.pending_ops op;
                   Option.iter (Engine.cancel t.engine) f.f_timer;
@@ -1491,6 +1470,7 @@ and deliver_ikc t ~src_kernel (ikc : P.ikc) =
                  flipped (or marked mid-handoff), ship the records. *)
               if Int_table.mem p.p_peers src_kernel then begin
                 Int_table.remove p.p_peers src_kernel;
+                Transport.close t.transport ~peer:src_kernel op;
                 if Int_table.length p.p_peers = 0 then begin
                   Int_table.remove t.pending_ops op;
                   Option.iter (Engine.cancel t.engine) p.p_timer;
@@ -2049,7 +2029,7 @@ let create ?obs ?trace ~engine ~fabric ~grid ~id ~pe ~membership ~cost ~env ~reg
   let transport =
     Transport.create ~obs ~trace ~engine ~fabric ~cost ~id ~pe ~kernel_count
       ~peer:(fun k ->
-        match find_kernel_in registry k with Some p -> p.transport | None -> raise Not_found)
+        match find_kernel registry k with Some p -> p.transport | None -> raise Not_found)
       ~deliver:(fun ~src_kernel ikc -> deliver_ikc (self ()) ~src_kernel ikc)
       ~on_exhausted:(fun op -> fail_exhausted_op (self ()) op)
   in
@@ -2064,7 +2044,6 @@ let create ?obs ?trace ~engine ~fabric ~grid ~id ~pe ~membership ~cost ~env ~reg
       cost;
       env;
       registry;
-      kernel_count;
       mapdb = Mapdb.create ();
       server = Server.create engine ~name:(Printf.sprintf "kernel%d" id);
       threads = Thread_pool.create ~vpes:0 ~kernels:kernel_count;
@@ -2109,7 +2088,6 @@ let syscall t ~vpe call k =
   if not (Vpe.is_alive vpe) then Engine.after t.engine 0L (fun () -> k (P.R_err P.E_vpe_dead))
   else if vpe.Vpe.syscall_pending then Engine.after t.engine 0L (fun () -> k (P.R_err P.E_busy))
   else begin
-    Transport.evict_expired t.transport;
     Obs.Registry.observe_int t.ctr.queue_depth (Server.queue_length t.server);
     vpe.Vpe.syscall_pending <- true;
     vpe.Vpe.reply_k <- Some k;
@@ -2145,6 +2123,10 @@ let install_new_cap t ~owner ~kind ?parent () =
   let cap = Cap.make ~key ~kind ~owner_vpe:owner.Vpe.id ?parent () in
   let sel = install_cap t cap in
   (sel, key)
+
+(* A broadcast gave up retransmitting [op]: close it toward the peers
+   that never acked. *)
+let close_unacked t op peers = Int_table.iter (fun kid () -> Transport.close t.transport ~peer:kid op) peers
 
 (* PE migration (the paper's named future work, §3.2). The system must
    be quiescent with respect to this VPE: no in-flight operations may
@@ -2208,6 +2190,7 @@ let migrate_vpe t ~(vpe : Vpe.t) ~dst done_k =
                       (Engine.after_cancellable t.engine
                          (Transport.retry_interval (c t) (attempts + 1))
                          (tick (attempts + 1)))
+                | Some (P_migrate m) -> close_unacked t op m.pending_peers
                 | Some _ | None -> ()
               in
               mig.mtimer <-
@@ -2256,6 +2239,7 @@ let announce_state t ~kernel state done_k =
                       (Engine.after_cancellable t.engine
                          (Transport.retry_interval (c t) (attempts + 1))
                          (tick (attempts + 1)))
+                | Some (P_fleet f) -> close_unacked t op f.f_peers
                 | Some _ | None -> ()
               in
               fop.f_timer <-
@@ -2316,6 +2300,7 @@ let handoff_partitions t ~pes ~vpes ~dst done_k =
                       (Engine.after_cancellable t.engine
                          (Transport.retry_interval (c t) (attempts + 1))
                          (tick (attempts + 1)))
+                | Some (P_part p) -> close_unacked t op p.p_peers
                 | Some _ | None -> ()
               in
               pop.p_timer <-

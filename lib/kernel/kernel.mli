@@ -104,10 +104,15 @@ val local_vpes : t -> Vpe.t list
 (** The metrics registry this kernel reports into. *)
 val obs : t -> Semper_obs.Obs.Registry.t
 
-(** Current sizes of the two bounded idempotency caches,
-    [(remote ops, completed acks)]. Entries are evicted lazily once the
-    retry window has safely elapsed; exposed for regression tests. *)
+(** Current sizes of the two idempotency caches, [(remote ops,
+    completed acks)]. An entry is dropped once the peer that
+    retransmits its op has closed it (see {!Transport}); exposed for
+    regression tests. *)
 val idempotency_cache_sizes : t -> int * int
+
+(** Most entries the two caches have held together since boot. Not
+    part of {!snapshot}. *)
+val idempotency_cache_peak : t -> int
 
 (** Per-peer send-credit windows as [(peer kernel, credits)], sorted by
     peer id. The fuzz credit oracle asserts every window stays within
@@ -211,10 +216,11 @@ val check_invariants : t -> string list
     database, membership replica (including mid-handoff marks),
     service directory, op-id cursor, per-peer credit windows — restores
     in place; the control plane (pending operations, retry timers,
-    idempotency caches, which carry continuations and engine handles)
-    travels only inside whole-image checkpoints, so the snapshot
-    records its op ids and sizes and [restore] raises
-    [Invalid_argument] if the live control plane does not match. *)
+    idempotency caches and pending closes, which carry or name
+    continuations and engine handles) travels only inside whole-image
+    checkpoints, so the snapshot records its op ids and [restore]
+    raises [Invalid_argument] if the live control plane does not
+    match. *)
 type snapshot
 
 val snapshot : t -> snapshot

@@ -331,9 +331,9 @@ let fingerprint t =
 
 let restore t s =
   (* Kernels first: their restore validates that the live control
-     plane (pending ops, idempotency caches) still matches the
-     snapshot and refuses otherwise, so a divergent system is rejected
-     before any other module has been mutated. *)
+     plane (pending ops, idempotency caches, pending closes) still
+     matches the snapshot and refuses otherwise, so a divergent system
+     is rejected before any other module has been mutated. *)
   List.iter (fun (i, ks) -> Kernel.restore (kernel t i) ks) s.s_kernels;
   Engine.restore t.engine s.s_engine;
   Fabric.restore t.fabric s.s_fabric;

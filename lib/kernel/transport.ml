@@ -26,7 +26,8 @@ type counters = {
 (* Responder-side record of an op-tagged request: op ids are globally
    unique (minted by the requester), so a redelivered request —
    retransmission or fault-injected duplicate — is recognised and, once
-   finished, answered from the cached reply instead of re-executed. *)
+   finished, answered from the cached reply instead of re-executed. The
+   entry lives until the requester closes the op (see [close]). *)
 type remote_state = R_in_progress | R_done of { dst : int; msg : P.ikc }
 
 (* A request awaiting a reply, retransmitted on timeout. [rstart] and
@@ -42,11 +43,6 @@ type retry_state = {
   mutable rtimer : Engine.handle option;
 }
 
-(* Idempotency-cache entries scheduled for eviction once the retry
-   window has safely elapsed (no retransmission of the request can
-   still be in flight by then). *)
-type evict_key = Ev_remote of int | Ev_ack of int
-
 (* Outgoing coalescing state for one peer kernel (batching mode): the
    first message to a peer opens a DTU slot window ([bw_until]);
    messages issued before it closes queue in [bq] and leave as one
@@ -60,9 +56,17 @@ type batch_state = { bq : P.ikc Queue.t; mutable bw_until : int64 }
    ride the next credit message that does go out. *)
 type owed = { mutable o_left : int; mutable o_acks : int list }
 
-(* Send-credit window toward one peer kernel (paper §5.1): credits
-   left, and the messages parked until one returns. *)
-type window = { mutable avail : int; stalled : (P.ikc * int) Queue.t }
+(* Send state toward one peer kernel: credits left (paper §5.1), the
+   messages parked until one returns, and the ops this kernel will
+   retransmit no more. [closes] ride the next credit return to the peer;
+   [waiting] still have a copy parked here (in [stalled] or the batch
+   queue) and move to [closes] once it has left. *)
+type window = {
+  mutable avail : int;
+  stalled : (P.ikc * int) Queue.t;
+  mutable closes : int list;
+  mutable waiting : int list;
+}
 
 type t = {
   id : int;
@@ -93,9 +97,8 @@ type t = {
   (* Completed delegate handshakes: op -> (dst, ack), kept so a
      redelivered reply can trigger an ack resend if the ack was lost. *)
   completed_acks : (int * P.ikc) Int_table.t;
-  (* FIFO of (expiry, entry) for the two idempotency caches above;
-     expiries are monotone because entries are pushed at event time. *)
-  evictions : (int64 * evict_key) Queue.t;
+  (* Most entries the two caches above ever held together. *)
+  mutable cache_peak : int;
 }
 
 (* Retransmission backoff: the wait before attempt [i] doubles up to a
@@ -110,15 +113,6 @@ let retry_interval cost i =
   let shift = if i < 6 then i else 6 in
   Int64.mul cost.Cost.retry_timeout (Int64.of_int (1 lsl shift))
 
-(* Worst-case span of a full retry schedule: sum of all backoff
-   intervals (attempts 0..retry_max), used to size the idempotency-cache
-   retention window. *)
-let retry_window cost =
-  let rec total i acc =
-    if i > cost.Cost.retry_max then acc else total (i + 1) (Int64.add acc (retry_interval cost i))
-  in
-  total 0 0L
-
 (* Bucket bounds (cycles) for syscall / IKC latency histograms. *)
 let latency_buckets =
   [| 1_000.; 2_500.; 5_000.; 10_000.; 25_000.; 50_000.; 100_000.; 250_000.; 500_000.; 1_000_000. |]
@@ -127,7 +121,8 @@ let latency_buckets =
 let retry_buckets = [| 0.; 1.; 2.; 3.; 5.; 10.; 20. |]
 
 let create ~obs ~trace ~engine ~fabric ~cost ~id ~pe ~kernel_count ~peer ~deliver ~on_exhausted =
-  let name suffix = "kernel" ^ string_of_int id ^ "." ^ suffix in
+  let prefix = "kernel" ^ string_of_int id ^ "." in
+  let name suffix = prefix ^ suffix in
   let cnt suffix = Obs.Registry.counter obs (name suffix) in
   let family suffix buckets =
     Obs.Registry.family obs ~prefix:(name suffix ^ ".") ~names:P.ikc_names ~buckets
@@ -163,13 +158,19 @@ let create ~obs ~trace ~engine ~fabric ~cost ~id ~pe ~kernel_count ~peer ~delive
     remote_ops = Int_table.create 32;
     retry_msgs = Int_table.create 16;
     completed_acks = Int_table.create 16;
-    evictions = Queue.create ();
+    cache_peak = 0;
   }
 
 let counters t = t.ctr
 
 let idempotency_cache_sizes t =
   (Int_table.length t.remote_ops, Int_table.length t.completed_acks)
+
+let idempotency_cache_peak t = t.cache_peak
+
+let note_cache_size t =
+  let n = Int_table.length t.remote_ops + Int_table.length t.completed_acks in
+  if n > t.cache_peak then t.cache_peak <- n
 
 (* [f peer x] for every contacted peer of a per-peer array, descending,
    so consing builds a list sorted by peer id. *)
@@ -191,34 +192,6 @@ let is_peer t k = match t.peer k with _ -> true | exception Not_found -> false
 let trace_event t ~kind ~op ~src ~dst ~detail =
   Obs.Trace.record t.trace ~ts:(Engine.now t.engine) ~kind ~op ~src ~dst ~detail
 
-(* How long idempotency-cache entries must be kept: once the full retry
-   budget plus slack has elapsed, no retransmission of the request (or
-   redelivery of its reply) can still be in flight. *)
-let retention t =
-  Int64.add (retry_window t.cost) (Int64.mul 2L t.cost.Cost.retry_timeout)
-
-(* Lazily drop expired idempotency-cache entries; called on kernel
-   activity (syscall entry, IKC delivery) rather than from timers so
-   drain-based measurements see no extra events. *)
-let evict_expired t =
-  let now = Engine.now t.engine in
-  let continue = ref true in
-  while !continue && not (Queue.is_empty t.evictions) do
-    let expiry, key = Queue.peek t.evictions in
-    if Int64.compare expiry now > 0 then continue := false
-    else begin
-      ignore (Queue.pop t.evictions);
-      match key with
-      | Ev_remote op -> (
-        (* Only a finished op may be dropped: an in-progress entry is
-           still the dedup guard for its request. *)
-        match Int_table.find t.remote_ops op with
-        | R_done _ -> Int_table.remove t.remote_ops op
-        | R_in_progress | (exception Not_found) -> ())
-      | Ev_ack op -> Int_table.remove t.completed_acks op
-    end
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Credit-gated sending with in-flight limiting (paper §4.1, §5.1)     *)
 
@@ -227,9 +200,46 @@ let credit_state t peer =
   match t.credits.(peer) with
   | Some w -> w
   | None ->
-    let w = { avail = Cost.max_inflight; stalled = Queue.create () } in
+    let w = { avail = Cost.max_inflight; stalled = Queue.create (); closes = []; waiting = [] } in
     t.credits.(peer) <- Some w;
     w
+
+(* Whether a copy of op [op]'s message to [peer] is parked here,
+   waiting for a credit or a batch flush. Both queues are usually
+   empty. *)
+let parked t ~peer w op =
+  let batched = t.batch_queues.(peer) in
+  let in_batch = match batched with Some bs -> not (Queue.is_empty bs.bq) | None -> false in
+  if Queue.is_empty w.stalled && not in_batch then false
+  else begin
+    let carries m = P.ikc_op m = op in
+    let frame_carries = function
+      | P.Ik_batch { msgs; _ } -> List.exists carries msgs
+      | m -> carries m
+    in
+    Seq.exists (fun (m, _) -> frame_carries m) (Queue.to_seq w.stalled)
+    || match batched with Some bs -> Seq.exists carries (Queue.to_seq bs.bq) | None -> false
+  end
+
+(* A message to [dst] left: closes that waited for a parked copy of
+   their op may now ride the next credit return. *)
+let release_waiting t ~dst w =
+  let still, ready = List.partition (parked t ~peer:dst w) w.waiting in
+  w.waiting <- still;
+  w.closes <- List.rev_append ready w.closes
+
+(* This kernel will send no further copy of op [op] to [peer] (its
+   reply or ack arrived, or its retry budget ran out), so the peer may
+   forget the op: name it on the next credit return. A copy still
+   parked here has yet to reach the peer, which must still recognise
+   it; the close waits until that copy has left. The fabric keeps each
+   channel FIFO, so a close arrives after every copy sent before it. *)
+let close t ~peer op =
+  if is_peer t peer then
+    match t.credits.(peer) with
+    | None -> ()  (* nothing was ever sent to [peer] *)
+    | Some w ->
+      if parked t ~peer w op then w.waiting <- op :: w.waiting else w.closes <- op :: w.closes
 
 let transmit t ~dst (ikc : P.ikc) =
   match t.peer dst with
@@ -251,7 +261,10 @@ let transmit t ~dst (ikc : P.ikc) =
       | _ -> t.cost.Cost.ikc_bytes
     in
     Fabric.send ~tag:(P.ikc_name ikc) t.fabric ~src:t.pe ~dst:peer.pe ~bytes (fun () ->
-        peer.deliver ~src_kernel:t.id ikc)
+        peer.deliver ~src_kernel:t.id ikc);
+    match t.credits.(dst) with
+    | Some w when w.waiting <> [] -> release_waiting t ~dst w
+    | Some _ | None -> ()
 
 (* Credit-gated dispatch: consume one in-flight credit or park the
    message until a credit returns (paper §5.1, four per peer pair). *)
@@ -356,6 +369,7 @@ let register_retry t op ~dst msg =
              fail the pending operation explicitly instead of leaving
              the syscall (and its kernel thread) parked forever. *)
           Int_table.remove t.retry_msgs op;
+          close t ~peer:st.rdst op;
           Obs.Registry.incr t.ctr.retry_exhausted;
           trace_event t ~kind:"ikc_timeout" ~op ~src:t.id ~dst:st.rdst
             ~detail:(P.ikc_name st.rmsg);
@@ -375,16 +389,28 @@ let register_retry t op ~dst msg =
     st.rtimer <- Some (Engine.after_cancellable t.engine (retry_interval t.cost 0) tick)
   end
 
-let clear_retry t op =
+(* A notification acked on a credit return ([notification]) was handled
+   idempotently and never cached by the peer: there is nothing to
+   close. *)
+let clear_retry ?(notification = false) t op =
   match Int_table.find t.retry_msgs op with
   | exception Not_found -> ()
   | st ->
     Int_table.remove t.retry_msgs op;
+    if not notification then close t ~peer:st.rdst op;
     Option.iter (Engine.cancel t.engine) st.rtimer;
     let kind = P.ikc_tag st.rmsg in
     Obs.Registry.observe_in t.ikc_latency kind
       (Int64.to_int (Int64.sub (Engine.now t.engine) st.rstart));
     Obs.Registry.observe_in t.ikc_retries kind st.rattempts
+
+(* The peer closed [op]: no copy of its request (nor of a delegate
+   reply) can arrive any more, so neither cache needs the entry. An op
+   still in progress is forgotten too; [finish_remote] then caches
+   nothing. *)
+let forget t op =
+  Int_table.remove t.remote_ops op;
+  Int_table.remove t.completed_acks op
 
 (* The DTU frees the message slot as soon as the kernel has fetched the
    message, which returns the sender's credit; the kernel calls this at
@@ -392,9 +418,12 @@ let clear_retry t op =
    piggybacks a delivery acknowledgement for an op-tagged notification
    on the credit message — the credit channel is never dropped or
    duplicated by fault plans, so the ack is reliable and costs no extra
-   fabric transfer. For inner messages of an [Ik_batch] frame all but
-   one credit return per frame is absorbed ([owed]); their acks are
-   stashed and ride the next credit message to the same peer. *)
+   fabric transfer. The same message names the ops this kernel has
+   closed toward that peer ([close]); the peer forgets them once it has
+   handled it. For inner messages of an [Ik_batch] frame all but one
+   credit return per frame is absorbed ([owed]); their acks are stashed,
+   and they and the closes ride the next credit message to the same
+   peer. *)
 let return_credit ?ack_op t ~src_kernel =
   match t.peer src_kernel with
   | exception Not_found -> ()
@@ -413,10 +442,19 @@ let return_credit ?ack_op t ~src_kernel =
         | None -> []
       in
       let acks = match ack_op with Some op -> op :: acks | None -> acks in
+      let closes =
+        match t.credits.(src_kernel) with
+        | Some w ->
+          let named = w.closes in
+          w.closes <- [];
+          named
+        | None -> []
+      in
       Fabric.send ~tag:"credit" t.fabric ~src:t.pe ~dst:peer.pe ~bytes:t.cost.Cost.credit_bytes
         (fun () ->
           receive_credit peer ~peer:t.id;
-          List.iter (fun op -> clear_retry peer op) acks))
+          List.iter (fun op -> clear_retry ~notification:true peer op) acks;
+          List.iter (forget peer) closes))
 
 (* An [Ik_batch] frame of [size] messages arrived from [src_kernel]. It
    consumed ONE sender credit, yet each inner delivery returns one:
@@ -443,6 +481,7 @@ let remote_dup t ~src_kernel ~op =
   match Int_table.find t.remote_ops op with
   | exception Not_found ->
     Int_table.replace t.remote_ops op R_in_progress;
+    note_cache_size t;
     false
   | R_in_progress ->
     Obs.Registry.incr t.ctr.dup_ikc;
@@ -464,38 +503,53 @@ let remote_dup t ~src_kernel ~op =
     send t ~dst msg;
     true
 
+(* Send the final reply for an op-tagged request and cache it for
+   redeliveries, unless the requester closed the op while it was in
+   progress: no copy of the request can come back for it then. *)
 let finish_remote t ~op ~dst msg =
-  Int_table.replace t.remote_ops op (R_done { dst; msg });
-  Queue.push (Int64.add (Engine.now t.engine) (retention t), Ev_remote op) t.evictions;
+  if Int_table.mem t.remote_ops op then Int_table.replace t.remote_ops op (R_done { dst; msg });
   send t ~dst msg
 
 let cache_ack t ~op ~dst ack =
   Int_table.replace t.completed_acks op (dst, ack);
-  Queue.push (Int64.add (Engine.now t.engine) (retention t), Ev_ack op) t.evictions
+  note_cache_size t
 
 let cached_ack t op = Int_table.find_opt t.completed_acks op
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots and health checks                                         *)
 
+(* Lists are sorted by op id or peer. The retry table, both caches and
+   the pending closes are control plane: validated by [matches], never
+   rebuilt in place. *)
 type snapshot = {
   s_retry_ops : int list;
   s_remote_ops : int list;
   s_completed_acks : int list;
-  s_evictions : int;
-  s_credits : (int * int * int) list;
-  s_batch : (int * int) list;
+  (* peer, ops named on the next credit return, ops waiting for a
+     parked copy; peers with either list non-empty *)
+  s_closes : (int * int list * int list) list;
+  s_credits : (int * int * int) list;  (* peer, credits, queued sends *)
+  s_batch : (int * int) list;  (* peer, queued batch sends *)
+  (* peer, absorbed credit returns still owed, stashed acks *)
   s_batch_owed : (int * int * int list) list;
 }
 
 let sorted_keys tbl = Int_table.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort Int.compare
+
+let closes_image t =
+  fold_peers
+    (fun peer w acc ->
+      if w.closes = [] && w.waiting = [] then acc
+      else (peer, List.sort Int.compare w.closes, List.sort Int.compare w.waiting) :: acc)
+    t.credits []
 
 let snapshot t =
   {
     s_retry_ops = sorted_keys t.retry_msgs;
     s_remote_ops = sorted_keys t.remote_ops;
     s_completed_acks = sorted_keys t.completed_acks;
-    s_evictions = Queue.length t.evictions;
+    s_closes = closes_image t;
     s_credits =
       fold_peers (fun peer w acc -> (peer, w.avail, Queue.length w.stalled) :: acc) t.credits [];
     s_batch = fold_peers (fun peer bs acc -> (peer, Queue.length bs.bq) :: acc) t.batch_queues [];
@@ -505,16 +559,16 @@ let snapshot t =
         t.batch_owed [];
   }
 
-(* The idempotency caches (remote ops, completed acks) and eviction
-   queue are validated too: they only ever grow during traffic, so a
-   control plane that handled syscalls since the snapshot is caught
-   here even when its event queue drained back to the snapshot's
-   shape. *)
+(* The idempotency caches (remote ops, completed acks) and pending
+   closes are validated too. Traffic since the snapshot leaves its mark
+   there even when the event queue drained back to the snapshot's
+   shape: the last op of any exchange stays cached until a later message
+   closes it. *)
 let matches t s =
   sorted_keys t.retry_msgs = s.s_retry_ops
   && sorted_keys t.remote_ops = s.s_remote_ops
   && sorted_keys t.completed_acks = s.s_completed_acks
-  && Queue.length t.evictions = s.s_evictions
+  && closes_image t = s.s_closes
 
 let restore t s =
   List.iter
@@ -527,7 +581,8 @@ let restore t s =
       | None ->
         if queued <> 0 then
           invalid_arg "Kernel.restore: queued credit-stalled sends do not match the snapshot";
-        t.credits.(peer) <- Some { avail = credits; stalled = Queue.create () })
+        t.credits.(peer) <-
+          Some { avail = credits; stalled = Queue.create (); closes = []; waiting = [] })
     s.s_credits;
   (* Batch queues hold closures' worth of in-flight protocol state only
      via plain messages awaiting a flush tick; like credit queues they

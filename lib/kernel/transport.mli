@@ -12,6 +12,15 @@
     - {b Duplicate detection}: the responder's cache of op-tagged
       requests ({!remote_dup}, {!finish_remote}) and the delegate
       source's cache of sent acks ({!cache_ack}, {!cached_ack}).
+    - {b Closes}: the kernel that retransmits an op knows when no
+      further copy of it will leave — its reply or ack arrived, or its
+      retry budget ran out ({!clear_retry}, {!close}). It then names
+      the op on its next credit return to the peer, once no copy waits
+      in its own credit-stall or batch queue, and the peer drops the
+      op's cache entries after handling that message. The fabric keeps
+      each channel FIFO, so every copy reaches the peer before the
+      close does, and the caches hold about one entry per peer and
+      direction instead of one per request of the run.
 
     The protocol handlers live in {!Kernel}; they reach the transport
     only through this interface, and the transport reaches them only
@@ -85,7 +94,15 @@ val frame_received : t -> src_kernel:int -> size:int -> unit
     [clear_retry t op]. *)
 val register_retry : t -> int -> dst:int -> Protocol.ikc -> unit
 
-val clear_retry : t -> int -> unit
+(** Stop retransmitting [op] (its reply or ack arrived) and close it
+    toward its destination, unless it is a [notification] acked on a
+    credit return, which the peer never caches. *)
+val clear_retry : ?notification:bool -> t -> int -> unit
+
+(** [close t ~peer op]: this kernel sends no further copy of [op] to
+    [peer]; see the module description. For broadcast ops, which
+    retransmit outside {!register_retry}. *)
+val close : t -> peer:int -> int -> unit
 
 (** [remote_dup t ~src_kernel ~op] is [true] when request [op] was seen
     before: its credit is returned, and a finished op resends its
@@ -93,7 +110,8 @@ val clear_retry : t -> int -> unit
 val remote_dup : t -> src_kernel:int -> op:int -> bool
 
 (** Send the final reply for request [op] and cache it for
-    redeliveries. *)
+    redeliveries, unless the requester closed [op] while it was in
+    progress. *)
 val finish_remote : t -> op:int -> dst:int -> Protocol.ikc -> unit
 
 (** [cache_ack t ~op ~dst ack]: remember the ack of a completed
@@ -103,32 +121,24 @@ val cache_ack : t -> op:int -> dst:int -> Protocol.ikc -> unit
 (** The cached ack of [op] and its destination. *)
 val cached_ack : t -> int -> (int * Protocol.ikc) option
 
-(** Drop idempotency-cache entries whose retention has elapsed. *)
-val evict_expired : t -> unit
-
 (** Sizes of the two idempotency caches, [(remote ops, completed acks)]. *)
 val idempotency_cache_sizes : t -> int * int
+
+(** Most entries the two caches have held together since creation. *)
+val idempotency_cache_peak : t -> int
 
 (** Per-peer send-credit windows as [(peer kernel, credits)], sorted by
     peer id. *)
 val credit_windows : t -> (int * int) list
 
-(** Closure-free image: op ids and sizes of the retry table and both
-    caches, and per-peer credit, batch and owed state, each list sorted
-    by op id or peer. *)
-type snapshot = {
-  s_retry_ops : int list;
-  s_remote_ops : int list;
-  s_completed_acks : int list;
-  s_evictions : int;
-  s_credits : (int * int * int) list;  (** peer, credits, queued sends *)
-  s_batch : (int * int) list;  (** peer, queued batch sends *)
-  s_batch_owed : (int * int * int list) list;  (** peer, owed returns, stashed acks *)
-}
+(** Closure-free image: op ids of the retry table, both caches and the
+    pending closes, and per-peer credit, batch and owed state. *)
+type snapshot
 
 val snapshot : t -> snapshot
 
-(** Whether the live retry table and caches are the snapshot's. *)
+(** Whether the live retry table, caches and pending closes are the
+    snapshot's. *)
 val matches : t -> snapshot -> bool
 
 (** Restore credit windows and owed returns in place; raises

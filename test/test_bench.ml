@@ -120,7 +120,12 @@ let test_scale_contract () =
   (match rows with
   | [ app; sess ] ->
     check Alcotest.int "application row carries no sessions" 0 app.Scale.r_sessions;
-    check Alcotest.int "session row ran the whole trace" 2_000 sess.Scale.r_sessions
+    check Alcotest.int "session row ran the whole trace" 2_000 sess.Scale.r_sessions;
+    (* Closed ops leave the idempotency caches, so their peak follows
+       the ops in flight; keeping every request would put it near the
+       session count. *)
+    check Alcotest.bool "session row's dedup peak is far below its session count" true
+      (sess.Scale.r_dedup_peak > 0 && sess.Scale.r_dedup_peak * 100 < sess.Scale.r_sessions)
   | _ -> ());
   List.iter
     (fun (r : Scale.row) ->

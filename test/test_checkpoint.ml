@@ -268,7 +268,9 @@ let test_system_snapshot_restore_in_place () =
      than silently wrong — rewinding goes through a whole-image
      checkpoint instead. The event queue itself drains back to the
      snapshot's (empty) shape, so the refusal is witnessed by the
-     kernels' idempotency caches, which only grow. *)
+     kernels' idempotency caches: the delegate's request and ack stay
+     cached until a later message closes them, and no later message
+     comes. *)
   (match
      System.syscall_sync sys a (Protocol.Sys_delegate_to { recv_vpe = b.Vpe.id; sel })
    with

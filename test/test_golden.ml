@@ -25,7 +25,16 @@
    [snapshot.json] and [k4_snapshot.json] each lost exactly that
    member and nothing else. Both fingerprints moved because they
    digest the registry and the engine snapshot, which lost its
-   skipped field too. Both traces kept their bytes. *)
+   skipped field too. Both traces kept their bytes.
+
+   When idempotency-cache entries started to leave on the peer's close
+   instead of after a 25.6M-cycle retention, both fingerprints moved
+   and nothing else did. A kernel's snapshot now nests its transport's
+   image, which lists the cache keys still held and the closes still
+   pending, and no longer counts an eviction queue. Digested one by one,
+   the engine, fabric, DTU, membership, registry, trace and mapping
+   database images of both workloads are identical to the earlier
+   build's. *)
 
 open Semperos
 

@@ -325,7 +325,7 @@ let test_redelivered_revoke_req () =
   Audit.check sys
 
 (* A retransmission parked behind exhausted send credits can leave its
-   sender after the reply to the original has already arrived. Twelve
+   sender after the reply to the original has already arrived. Sixteen
    spanning obtains from kernel 0 share its four credits toward kernel
    1, and everything kernel 1 sends back (credit returns and replies
    alike) is held until cycle [hold], past the first retry timeout, so
@@ -334,12 +334,12 @@ let test_redelivered_revoke_req () =
    duplicate, never executed a second time. *)
 let test_stalled_retransmission_after_reply () =
   let sys =
-    System.create (System.config ~kernels:2 ~user_pes_per_kernel:14 ~trace_capacity:100_000 ())
+    System.create (System.config ~kernels:2 ~user_pes_per_kernel:18 ~trace_capacity:100_000 ())
   in
   let donor = System.spawn_vpe sys ~kernel:1 in
   let root = alloc sys donor in
   let root_key = Option.get (Capspace.find donor.Vpe.capspace root) in
-  let clients = List.init 12 (fun _ -> System.spawn_vpe sys ~kernel:0) in
+  let clients = List.init 16 (fun _ -> System.spawn_vpe sys ~kernel:0) in
   let a_pe = Kernel.pe (System.kernel sys 0) and b_pe = Kernel.pe (System.kernel sys 1) in
   let hold = Int64.add (System.now sys) 30_000L in
   Fabric.set_injector (System.fabric sys)
@@ -356,7 +356,7 @@ let test_stalled_retransmission_after_reply () =
         (fun r -> results := r :: !results))
     clients;
   ignore (System.run sys);
-  check Alcotest.int "every obtain answered" 12 (List.length !results);
+  check Alcotest.int "every obtain answered" 16 (List.length !results);
   List.iter (fun r -> ignore (sel_of r)) !results;
   (* Witness the ordering from kernel 0's side of the trace: a copy of
      request [op] stalled for credit, the reply to [op] arrived, and
@@ -381,60 +381,170 @@ let test_stalled_retransmission_after_reply () =
         if e.kind = "ikc_retry" && e.src = 0 then Some e.op else None)
       events
   in
-  check Alcotest.bool "a stalled copy left after its reply" true
-    (List.exists stalled_then_replied retried);
+  let late = List.filter stalled_then_replied retried in
+  check Alcotest.bool "a stalled copy left after its reply" true (late <> []);
   check Alcotest.bool "responder counted the duplicate" true (dup_ikc sys 1 >= 1);
-  check Alcotest.int "one child per obtain" 12
+  check Alcotest.int "one child per obtain" 16
     (Mapdb.child_count (Kernel.mapdb (System.kernel sys 1)) root_key);
-  check Alcotest.int "no second child capability" 13 (total_caps sys);
+  check Alcotest.int "no second child capability" 17 (total_caps sys);
+  Audit.check sys;
+  (* Kernel 0 closed each late op only once its copy had left; the
+     closes ride kernel 0's next credit return to kernel 1, here the
+     one for a request kernel 1 sends it, after which kernel 1 holds
+     none of kernel 0's requests. *)
+  let donor0 = List.hd clients in
+  let taker1 = System.spawn_vpe sys ~kernel:1 in
+  let a = alloc sys donor0 in
+  ignore
+    (sel_of
+       (System.syscall_sync sys taker1
+          (Protocol.Sys_obtain_from { donor_vpe = donor0.Vpe.id; donor_sel = a })));
+  ignore (System.run sys);
+  check Alcotest.int "responder forgot every closed op" 0
+    (fst (Kernel.idempotency_cache_sizes (System.kernel sys 1)));
   Audit.check sys
 
-(* The idempotency caches (remote op results, delegate acks) must not
-   grow without bound: entries older than the retry window are evicted
-   lazily on the next syscall or IKC delivery. *)
-let test_idempotency_cache_eviction () =
+(* The requester's retry budget runs out while the responder is still
+   working on the request: the service on kernel 1 sits on the open
+   until kernel 0 has given up and its close has reached kernel 1. The
+   responder then forgets the op at once, and finishing the request
+   afterwards must not leave a cached reply behind, which no kernel
+   would ever close. *)
+let test_close_while_in_progress () =
   let sys = make () in
-  let v1 = System.spawn_vpe sys ~kernel:0 in
-  let v2 = System.spawn_vpe sys ~kernel:1 in
-  (* Cross-kernel traffic in both directions populates both kernels'
-     caches: obtains record remote-op results, delegates record acks. *)
-  for _ = 1 to 4 do
-    let a = alloc sys v1 in
-    (match
-       System.syscall_sync sys v2
-         (Protocol.Sys_obtain_from { donor_vpe = v1.Vpe.id; donor_sel = a })
-     with
-    | Protocol.R_sel _ -> ()
-    | r -> Alcotest.failf "obtain: %a" Protocol.pp_reply r);
-    match
-      System.syscall_sync sys v1 (Protocol.Sys_delegate_to { recv_vpe = v2.Vpe.id; sel = a })
-    with
-    | Protocol.R_ok -> ()
-    | r -> Alcotest.failf "delegate: %a" Protocol.pp_reply r
-  done;
-  let filled =
-    List.fold_left
-      (fun acc k ->
-        let r, a = Kernel.idempotency_cache_sizes k in
-        acc + r + a)
-      0 (System.kernels sys)
-  in
-  check Alcotest.bool "caches populated by cross-kernel traffic" true (filled > 0);
-  (* Let the retry window (the full exponential-backoff schedule,
-     25.575M cycles with retry_max = 20 at the default cost table, plus
-     50K cycles of slack) expire, then touch
-     each kernel: eviction is activity-driven, so the next syscall
-     drains the expired entries. *)
-  run_for sys 30_000_000L;
-  ignore (alloc sys v1);
-  ignore (alloc sys v2);
+  let parked = ref None in
+  let srv = System.spawn_vpe sys ~kernel:1 in
+  Kernel.register_service_handler (System.kernel sys 1) ~name:"slow" (fun req k ->
+      match req with
+      | Protocol.Srq_open_session _ -> parked := Some k
+      | Protocol.Srq_obtain _ | Protocol.Srq_delegate _ -> k (Protocol.Srs_reject Protocol.E_invalid));
+  ignore (sel_of (System.syscall_sync sys srv (Protocol.Sys_create_srv { name = "slow" })));
+  ignore (System.run sys);
+  let client = System.spawn_vpe sys ~kernel:0 in
+  let result = ref None in
+  System.syscall sys client (Protocol.Sys_open_session { service = "slow" }) (fun r ->
+      result := Some r);
+  ignore (System.run sys);
+  check (Alcotest.option reply_t) "requester gave up"
+    (Some (Protocol.R_err Protocol.E_timeout))
+    !result;
+  let k1 = System.kernel sys 1 in
+  check Alcotest.int "responder still holds the op" 1 (fst (Kernel.idempotency_cache_sizes k1));
+  (* Any request from kernel 1 makes kernel 0 return a credit, which
+     carries the close. *)
+  let donor = System.spawn_vpe sys ~kernel:0 in
+  let taker = System.spawn_vpe sys ~kernel:1 in
+  let a = alloc sys donor in
+  ignore
+    (sel_of
+       (System.syscall_sync sys taker
+          (Protocol.Sys_obtain_from { donor_vpe = donor.Vpe.id; donor_sel = a })));
+  ignore (System.run sys);
+  check Alcotest.int "closed while in progress" 0 (fst (Kernel.idempotency_cache_sizes k1));
+  (match !parked with
+  | Some k -> k (Protocol.Srs_reject Protocol.E_denied)
+  | None -> Alcotest.fail "service never saw the open");
+  ignore (System.run sys);
+  check Alcotest.int "no reply cached after the close" 0 (fst (Kernel.idempotency_cache_sizes k1));
+  Audit.check sys;
+  ignore (System.shutdown sys);
   List.iter
-    (fun k ->
-      let r, a = Kernel.idempotency_cache_sizes k in
-      check Alcotest.int "remote-op cache drained" 0 r;
-      check Alcotest.int "ack cache drained" 0 a)
-    (System.kernels sys);
-  Audit.check sys
+    (fun k -> check Alcotest.(pair int int) "empty after shutdown" (0, 0) (Kernel.idempotency_cache_sizes k))
+    (System.kernels sys)
+
+(* The idempotency caches (remote op results, delegate acks) hold an
+   entry only until the kernel that retransmits its op closes it, so
+   their size follows the ops in flight, not the length of the run.
+   Three kernels each host a client and a service; every round runs
+   obtain, delegate, open-session and revoke traffic across every
+   ordered pair of kernels. *)
+let cache_traffic ~batching ~broadcast ~rounds =
+  let kernels = 3 in
+  let sys =
+    System.create (System.config ~kernels ~user_pes_per_kernel:4 ~batching ~broadcast ())
+  in
+  let client = Array.init kernels (fun k -> System.spawn_vpe sys ~kernel:k) in
+  let service k = Printf.sprintf "svc%d" k in
+  for k = 0 to kernels - 1 do
+    let srv = System.spawn_vpe sys ~kernel:k in
+    Kernel.register_service_handler (System.kernel sys k) ~name:(service k) (fun req reply ->
+        match req with
+        | Protocol.Srq_open_session _ -> reply (Protocol.Srs_session { ident = k })
+        | Protocol.Srq_obtain _ | Protocol.Srq_delegate _ ->
+          reply (Protocol.Srs_reject Protocol.E_invalid));
+    ignore (sel_of (System.syscall_sync sys srv (Protocol.Sys_create_srv { name = service k })))
+  done;
+  ignore (System.run sys);
+  let ok what = function
+    | Protocol.R_ok -> ()
+    | r -> Alcotest.failf "%s: %a" what Protocol.pp_reply r
+  in
+  let obtain ~by ~from =
+    let a = alloc sys client.(from) in
+    ignore
+      (sel_of
+         (System.syscall_sync sys client.(by)
+            (Protocol.Sys_obtain_from { donor_vpe = client.(from).Vpe.id; donor_sel = a })));
+    a
+  in
+  let pairs =
+    List.concat_map
+      (fun i -> List.filter_map (fun j -> if i = j then None else Some (i, j)) [ 0; 1; 2 ])
+      [ 0; 1; 2 ]
+  in
+  for _ = 1 to rounds do
+    List.iter
+      (fun (i, j) ->
+        let a = obtain ~by:j ~from:i in
+        ok "delegate"
+          (System.syscall_sync sys client.(i)
+             (Protocol.Sys_delegate_to { recv_vpe = client.(j).Vpe.id; sel = a }));
+        (match System.syscall_sync sys client.(j) (Protocol.Sys_open_session { service = service i }) with
+        | Protocol.R_sess { sel; _ } ->
+          ok "revoke session" (System.syscall_sync sys client.(j) (Protocol.Sys_revoke { sel; own = true }))
+        | r -> Alcotest.failf "open_session: %a" Protocol.pp_reply r);
+        ok "revoke" (System.syscall_sync sys client.(i) (Protocol.Sys_revoke { sel = a; own = true })))
+      pairs
+  done;
+  ignore (System.run sys);
+  let peaks = List.map Kernel.idempotency_cache_peak (System.kernels sys) in
+  (* One more message each way: an obtain across every pair carries a
+     credit return in both directions, and with it the closes of every
+     op the round left cached. *)
+  List.iter (fun (i, j) -> ignore (obtain ~by:j ~from:i)) pairs;
+  ignore (System.run sys);
+  let residue =
+    List.map
+      (fun k ->
+        let r, a = Kernel.idempotency_cache_sizes k in
+        r + a)
+      (System.kernels sys)
+  in
+  Audit.check sys;
+  ignore (System.shutdown sys);
+  let after_shutdown =
+    List.map
+      (fun k ->
+        let r, a = Kernel.idempotency_cache_sizes k in
+        r + a)
+      (System.kernels sys)
+  in
+  (peaks, residue, after_shutdown)
+
+let test_idempotency_caches_bounded () =
+  List.iter
+    (fun (mode, batching, broadcast) ->
+      let peaks4, residue, empty = cache_traffic ~batching ~broadcast ~rounds:4 in
+      let peaks64, residue64, empty64 = cache_traffic ~batching ~broadcast ~rounds:64 in
+      let ints = Alcotest.(list int) in
+      check Alcotest.bool (mode ^ ": caches were used") true (List.for_all (fun p -> p > 0) peaks4);
+      check ints (mode ^ ": peak independent of run length") peaks4 peaks64;
+      List.iter
+        (fun r -> check Alcotest.bool (mode ^ ": at most one entry per peer") true (r <= 2))
+        (residue @ residue64);
+      check ints (mode ^ ": empty after shutdown") [ 0; 0; 0 ] empty;
+      check ints (mode ^ ": empty after shutdown (64 rounds)") [ 0; 0; 0 ] empty64)
+    [ ("default", false, false); ("batching", true, false); ("broadcast", false, true) ]
 
 (* When every retransmission is lost, the retry loop must give up after
    retry_max attempts and fail the syscall with E_timeout instead of
@@ -490,8 +600,10 @@ let suite =
     Alcotest.test_case "redelivered revoke request" `Quick test_redelivered_revoke_req;
     Alcotest.test_case "stalled retransmission after its reply" `Quick
       test_stalled_retransmission_after_reply;
-    Alcotest.test_case "idempotency caches evict after the retry window" `Quick
-      test_idempotency_cache_eviction;
+    Alcotest.test_case "requester gives up while the responder works" `Quick
+      test_close_while_in_progress;
+    Alcotest.test_case "idempotency caches are bounded by in-flight ops" `Quick
+      test_idempotency_caches_bounded;
     Alcotest.test_case "retry exhaustion fails with E_timeout" `Quick
       test_retry_exhaustion_times_out;
   ]
